@@ -273,16 +273,24 @@ EVALUATE_DEFAULTS = {
 }
 
 
-def _predict_many(params, pairs, n_head, n_tail, threads: int) -> np.ndarray:
+def _predict_many(
+    params, pairs, n_head, n_tail, threads: int, include_na: bool
+) -> np.ndarray:
     def prob(pair):
         return prediction_forward(
-            params, pair.head, pair.tail, n_head, n_tail
+            params, pair.head, pair.tail, n_head, n_tail, include_na=include_na
         ).probability
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return np.array(list(pool.map(prob, pairs)), dtype=np.float64)
     return np.array([prob(p) for p in pairs], dtype=np.float64)
+
+
+def _include_na(meta: dict) -> bool:
+    """Whether the checkpoint's model was trained with the NA row in the
+    posterior normalizer; checkpoints that predate the field used it."""
+    return meta["train"].get("include_na", True)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -304,7 +312,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     n_head = meta["train"]["n_assoc_head"]
     n_tail = meta["train"]["n_assoc_tail"]
-    probs = _predict_many(checkpoint.params, pairs, n_head, n_tail, cfg["threads"])
+    probs = _predict_many(
+        checkpoint.params, pairs, n_head, n_tail, cfg["threads"], _include_na(meta)
+    )
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     precision, recall, f1 = f1_score(probs, labels, threshold=cfg["threshold"])
     if cfg["dump"]:
@@ -353,6 +363,8 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
     mode = str(cfg["mode"]).lower()
     if mode not in ("owa", "cwa"):
         raise UsageError(f"--mode must be owa or cwa, got {cfg['mode']!r}")
+    if cfg["topk"] < 1:
+        raise UsageError(f"--topk must be >= 1, got {cfg['topk']}")
     checkpoint = load_checkpoint(cfg["model"])
     meta = checkpoint.config
     schema = RelationSchema(names=tuple(meta["relations"]))
@@ -380,6 +392,7 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         top_k=cfg["topk"],
         mode=mode,
         kb=kb,
+        include_na=_include_na(meta),
     )
     print(report.to_json_line())
     print(report.format_table())

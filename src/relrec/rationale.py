@@ -10,6 +10,18 @@ learned attention, and applies a logistic head.  Each surviving
 (association-head, relation, association-tail) candidate is a rationale
 scored by attention weight times posterior probability.
 
+The pairs are built from few distinct entities: an n_head x n_tail grid
+has only n_head + n_tail.  So the projection of a pair's input
+[E[h]; E[t]; a] is split along the three blocks of `pair_weight`:
+each distinct head and tail is projected once and gathered per pair,
+and the assumption block goes through the rank-n_rel product
+posterior @ (R @ W_a).  Likewise, the head + relation part of the L1
+residuals head + relation - tail is formed once per distinct head.  The
+backward pass sums each pair's gradient per distinct entity with a 0/1
+matmul and writes every entity row once.  This is exact algebra, not an
+approximation: the scores and survivor sets are bit-for-bit those of the
+per-pair form, the rest agrees to rounding.
+
 `prediction_forward` keeps every intermediate needed by
 `prediction_backward`, which implements the full analytic gradient of
 the pipeline.  Association membership and survivor sets are discrete
@@ -21,7 +33,7 @@ as the smooth function the gradient differentiates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +57,7 @@ class PredictionStructure:
     tail_assoc: AssociationList
     pair_heads: np.ndarray  # (P,) entity ids
     pair_tails: np.ndarray  # (P,)
-    survivors: np.ndarray  # (P, n_rel) bool
+    survivors: np.ndarray | None = None  # (P, n_rel) bool; None: not chosen yet
 
 
 @dataclass
@@ -53,11 +65,14 @@ class PredictionTrace:
     structure: PredictionStructure
     scores: np.ndarray  # (P, n_rel) forward-relation translation scores
     na_scores: np.ndarray  # (P,)
-    residual_signs: np.ndarray  # (P, n_rel + 1, d)
+    residuals: np.ndarray  # (P, n_rel + 1, d) head + relation - tail
     posterior: np.ndarray  # (P, n_rel), exactly zero off-survivors
     na_mass: np.ndarray  # (P,)
     assum_vecs: np.ndarray  # (P, d)
-    pair_inputs: np.ndarray  # (P, 3d)
+    unique_heads: np.ndarray  # (U_h,) distinct pair heads
+    head_inverse: np.ndarray  # (P,) index of each pair head in unique_heads
+    unique_tails: np.ndarray  # (U_t,)
+    tail_inverse: np.ndarray  # (P,)
     pair_reprs: np.ndarray  # (P, d_p)
     attn_hidden: np.ndarray  # (P, d_a) tanh of attention hidden layer
     attn_logits: np.ndarray  # (P,)
@@ -183,21 +198,23 @@ def attention_weights(params: ModelParams, pair_reprs: np.ndarray) -> np.ndarray
 
 def _posterior_grid(
     params: ModelParams,
-    pair_heads: np.ndarray,
+    unique_heads: np.ndarray,
+    head_inverse: np.ndarray,
     pair_tails: np.ndarray,
     frozen_survivors: np.ndarray | None,
     include_na: bool,
 ):
-    """Vectorized thresholded softmax over all pairs at once."""
+    """Vectorized thresholded softmax over all pairs at once; the pair
+    heads are `unique_heads[head_inverse]`."""
     dims = params.dims
     rows = np.concatenate([np.arange(dims.n_rel), [dims.na_index]])
-    diff = (
-        params.entity_emb[pair_heads][:, None, :]
+    # head + relation once per distinct head, then minus each pair's tail.
+    residuals = (
+        params.entity_emb[unique_heads][:, None, :]
         + params.relation_emb[rows][None, :, :]
-        - params.entity_emb[pair_tails][:, None, :]
-    )  # (P, n_rel + 1, d)
-    signs = np.sign(diff)
-    all_scores = -np.abs(diff).sum(axis=2)
+    )[head_inverse]
+    residuals -= params.entity_emb[pair_tails][:, None, :]  # (P, n_rel + 1, d)
+    all_scores = -np.abs(residuals).sum(axis=2)
     scores = all_scores[:, : dims.n_rel]
     na_scores = all_scores[:, dims.n_rel]
     if frozen_survivors is not None:
@@ -221,7 +238,23 @@ def _posterior_grid(
         z_safe = np.where(z > 0, z, 1.0)
         posterior = exp_fwd / z_safe[:, None]
         na_mass = np.zeros_like(z)
-    return scores, na_scores, signs, survivors, posterior, na_mass
+    return scores, na_scores, residuals, survivors, posterior, na_mass
+
+
+def _cross_pairs(
+    head_assoc: AssociationList, tail_assoc: AssociationList
+) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails) of the full n_head x n_tail association grid."""
+    heads, tails = head_assoc.entity_ids, tail_assoc.entity_ids
+    return np.repeat(heads, len(tails)), np.tile(tails, len(heads))
+
+
+def _row_sums(inverse: np.ndarray, n_rows: int, *values: np.ndarray) -> list:
+    """Sum the rows of each (P, k) array by group, `inverse` mapping each
+    of the P rows to its group, through one (n_rows, P) 0/1 matmul."""
+    onehot = np.zeros((n_rows, len(inverse)), dtype=values[0].dtype)
+    onehot[inverse, np.arange(len(inverse))] = 1.0
+    return [onehot @ v for v in values]
 
 
 def prediction_forward(
@@ -241,44 +274,47 @@ def prediction_forward(
     and top n_tail associations; `pairs` restricts it to an explicit
     (heads, tails) id list.  Passing a `structure` from an earlier trace
     reuses its association lists, pair set, and survivor sets, which
-    makes the loss a smooth function of the parameters.
+    makes the loss a smooth function of the parameters; a structure
+    whose `survivors` is None fixes only the association lists and the
+    pair set, and this pass selects the survivors.
     """
-    if structure is not None:
-        head_assoc = structure.head_assoc
-        tail_assoc = structure.tail_assoc
-        pair_heads = structure.pair_heads
-        pair_tails = structure.pair_tails
-        frozen = structure.survivors
-    else:
+    if structure is None:
         head_assoc = top_associations(params, head, n_head)
         tail_assoc = top_associations(params, tail, n_tail)
         if pairs is None:
-            pair_heads = np.repeat(head_assoc.entity_ids, len(tail_assoc.entity_ids))
-            pair_tails = np.tile(tail_assoc.entity_ids, len(head_assoc.entity_ids))
+            pair_heads, pair_tails = _cross_pairs(head_assoc, tail_assoc)
         else:
             pair_heads = np.asarray(pairs[0], dtype=np.int64)
             pair_tails = np.asarray(pairs[1], dtype=np.int64)
-        frozen = None
-    if len(pair_heads) == 0:
-        raise ValueError("prediction needs at least one association pair")
-
-    scores, na_scores, signs, survivors, posterior, na_mass = _posterior_grid(
-        params, pair_heads, pair_tails, frozen, include_na
-    )
-    if structure is None:
         structure = PredictionStructure(
             head_assoc=head_assoc,
             tail_assoc=tail_assoc,
             pair_heads=pair_heads,
             pair_tails=pair_tails,
-            survivors=survivors,
         )
-    assum_vecs = posterior @ params.relation_emb[: params.dims.n_rel]
-    pair_inputs = np.concatenate(
-        [params.entity_emb[pair_heads], params.entity_emb[pair_tails], assum_vecs],
-        axis=1,
+    pair_heads = structure.pair_heads
+    pair_tails = structure.pair_tails
+    if len(pair_heads) == 0:
+        raise ValueError("prediction needs at least one association pair")
+
+    unique_heads, head_inverse = np.unique(pair_heads, return_inverse=True)
+    unique_tails, tail_inverse = np.unique(pair_tails, return_inverse=True)
+    scores, na_scores, residuals, survivors, posterior, na_mass = _posterior_grid(
+        params, unique_heads, head_inverse, pair_tails, structure.survivors,
+        include_na,
     )
-    pair_reprs = np.tanh(pair_inputs @ params.pair_weight + params.pair_bias)
+    if structure.survivors is None:
+        structure = replace(structure, survivors=survivors)
+    d, n_rel = params.dims.d, params.dims.n_rel
+    rel_fwd = params.relation_emb[:n_rel]
+    weight = params.pair_weight
+    assum_vecs = posterior @ rel_fwd
+    # [E[h]; E[t]; a] @ W, projected per distinct entity and gathered per pair.
+    pre = (params.entity_emb[unique_heads] @ weight[:d])[head_inverse]
+    pre += (params.entity_emb[unique_tails] @ weight[d : 2 * d])[tail_inverse]
+    pre += posterior @ (rel_fwd @ weight[2 * d :])
+    pre += params.pair_bias
+    pair_reprs = np.tanh(pre, out=pre)
     attn_hidden = np.tanh(pair_reprs @ params.attn_weight.T + params.attn_bias)
     attn_logits = attn_hidden @ params.attn_vector
     attn = stable_softmax(attn_logits)
@@ -289,11 +325,14 @@ def prediction_forward(
         structure=structure,
         scores=scores,
         na_scores=na_scores,
-        residual_signs=signs,
+        residuals=residuals,
         posterior=posterior,
         na_mass=na_mass,
         assum_vecs=assum_vecs,
-        pair_inputs=pair_inputs,
+        unique_heads=unique_heads,
+        head_inverse=head_inverse,
+        unique_tails=unique_tails,
+        tail_inverse=tail_inverse,
         pair_reprs=pair_reprs,
         attn_hidden=attn_hidden,
         attn_logits=attn_logits,
@@ -319,8 +358,6 @@ def prediction_backward(
     """
     dims = params.dims
     d, n_rel = dims.d, dims.n_rel
-    pair_heads = trace.structure.pair_heads
-    pair_tails = trace.structure.pair_tails
     attn = trace.attn
     e_repr = trace.pair_reprs
 
@@ -345,17 +382,18 @@ def prediction_backward(
     grads["attn_bias"] = d_hidden.sum(axis=0)
     d_repr += d_hidden @ params.attn_weight
 
+    # Pair projection pre = E[h] @ W_h + E[t] @ W_t + posterior @ R @ W_a + b.
     d_pre = d_repr * (1.0 - e_repr**2)  # (P, d_p)
-    grads["pair_weight"] = trace.pair_inputs.T @ d_pre
-    grads["pair_bias"] = d_pre.sum(axis=0)
-    d_inputs = d_pre @ params.pair_weight.T  # (P, 3d)
-    d_head_emb = d_inputs[:, :d].copy()
-    d_tail_emb = d_inputs[:, d : 2 * d].copy()
-    d_assum = d_inputs[:, 2 * d :]
-
+    w_head, w_tail, w_assum = (
+        params.pair_weight[:d],
+        params.pair_weight[d : 2 * d],
+        params.pair_weight[2 * d :],
+    )
     rel_fwd = params.relation_emb[:n_rel]
-    d_post = d_assum @ rel_fwd.T  # (P, n_rel)
-    grads["relation_emb"][:n_rel] += trace.posterior.T @ d_assum
+    d_pre_by_rel = trace.posterior.T @ d_pre  # (n_rel, d_p)
+    grads["relation_emb"][:n_rel] += d_pre_by_rel @ w_assum.T
+    grads["pair_bias"] = d_pre.sum(axis=0)
+    d_post = d_pre @ (w_assum.T @ rel_fwd.T)  # (P, n_rel)
 
     # Softmax over the active set {NA} + survivors; NA receives no direct
     # gradient from the assumption vector but shifts the normalizer.
@@ -365,16 +403,32 @@ def prediction_backward(
     d_all_scores = np.concatenate([d_scores, d_na[:, None]], axis=1)
 
     # L1 translation scores: residual u = head + rel - tail, score = -|u|.
-    weighted_signs = d_all_scores[:, :, None] * trace.residual_signs
-    pair_sign_sum = weighted_signs.sum(axis=1)  # (P, d)
-    d_head_emb -= pair_sign_sum
-    d_tail_emb += pair_sign_sum
-    rel_rows_grad = -weighted_signs.sum(axis=0)  # (n_rel + 1, d)
+    signs = np.sign(trace.residuals)  # (P, n_rel + 1, d)
+    pair_sign_sum = np.matmul(d_all_scores[:, None, :], signs)[:, 0, :]  # (P, d)
+    rel_rows_grad = -np.matmul(
+        d_all_scores.T[:, None, :], signs.transpose(1, 0, 2)
+    )[:, 0, :]  # (n_rel + 1, d)
     grads["relation_emb"][:n_rel] += rel_rows_grad[:n_rel]
     grads["relation_emb"][dims.na_index] += rel_rows_grad[n_rel]
 
-    np.add.at(grads["entity_emb"], pair_heads, d_head_emb)
-    np.add.at(grads["entity_emb"], pair_tails, d_tail_emb)
+    # Each distinct association entity gets its pairs' gradient once.
+    heads, tails = trace.unique_heads, trace.unique_tails
+    d_pre_head, sign_head = _row_sums(
+        trace.head_inverse, len(heads), d_pre, pair_sign_sum
+    )
+    d_pre_tail, sign_tail = _row_sums(
+        trace.tail_inverse, len(tails), d_pre, pair_sign_sum
+    )
+    entity_emb = params.entity_emb
+    grads["pair_weight"] = np.concatenate(
+        [
+            entity_emb[heads].T @ d_pre_head,
+            entity_emb[tails].T @ d_pre_tail,
+            rel_fwd.T @ d_pre_by_rel,
+        ]
+    )
+    grads["entity_emb"][heads] += d_pre_head @ w_head.T - sign_head
+    grads["entity_emb"][tails] += d_pre_tail @ w_tail.T + sign_tail
     return grads
 
 
@@ -422,43 +476,20 @@ def predict_relation(
     return trace.probability, _records_from_trace(trace)
 
 
-def extract_rationales(
-    records: list[AssumptionRecord],
+def _ranked_report(
+    candidates: list[tuple[float, int, int, int, float, float]],
     target: tuple[int, int, int],
     top_k: int,
     *,
     vocab: Vocab,
     schema: RelationSchema,
     probability: float,
-    mode: str = OWA_MODE,
+    mode: str,
     fallback: bool = False,
 ) -> RationaleReport:
-    """Rank every surviving (association head, relation, association
-    tail) candidate by attention weight times posterior probability and
-    keep the top_k.  The exact target triple is removed if it appears.
-    Ties break deterministically by (head id, tail id, relation id).
-    """
+    """Report the top_k of (score, head, tail, relation, attn, posterior)
+    candidates, ties broken by (head id, tail id, relation id)."""
     head_id, relation_id, tail_id = target
-    candidates = []
-    for record in records:
-        for k in record.posterior.survivors:
-            k = int(k)
-            if (record.assoc_head, k, record.assoc_tail) == (
-                head_id,
-                relation_id,
-                tail_id,
-            ):
-                continue
-            candidates.append(
-                (
-                    record.attn * float(record.posterior.probs[k]),
-                    record.assoc_head,
-                    record.assoc_tail,
-                    k,
-                    record.attn,
-                    float(record.posterior.probs[k]),
-                )
-            )
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
     entries = [
         RationaleEntry(
@@ -485,6 +516,40 @@ def extract_rationales(
     )
 
 
+def extract_rationales(
+    records: list[AssumptionRecord],
+    target: tuple[int, int, int],
+    top_k: int,
+    *,
+    vocab: Vocab,
+    schema: RelationSchema,
+    probability: float,
+    mode: str = OWA_MODE,
+    fallback: bool = False,
+) -> RationaleReport:
+    """Rank every surviving (association head, relation, association
+    tail) candidate by attention weight times posterior probability and
+    keep the top_k.  The exact target triple is removed if it appears.
+    Ties break deterministically by (head id, tail id, relation id).
+    """
+    target = tuple(target)
+    candidates = []
+    for record in records:
+        for k in record.posterior.survivors:
+            k = int(k)
+            if (record.assoc_head, k, record.assoc_tail) == target:
+                continue
+            post = float(record.posterior.probs[k])
+            candidates.append(
+                (record.attn * post, record.assoc_head, record.assoc_tail, k,
+                 record.attn, post)
+            )
+    return _ranked_report(
+        candidates, target, top_k, vocab=vocab, schema=schema,
+        probability=probability, mode=mode, fallback=fallback,
+    )
+
+
 @dataclass
 class CwaPair:
     assoc_head: int
@@ -499,14 +564,22 @@ def cwa_rationales(
     tail: int,
     n_head: int,
     n_tail: int,
+    *,
+    associations: tuple[AssociationList, AssociationList] | None = None,
 ) -> list[CwaPair]:
     """Closed-world assumption pair filter: rank all association cross
     pairs by the product of their retrieval probabilities and keep only
     pairs that appear as (head, tail) of some stored kb triple, capped at
     n_head * n_tail.  An empty result signals that no kb triple matched.
+    `associations` passes in the (head, tail) association lists when the
+    caller has already recalled them.
     """
-    head_assoc = top_associations(params, head, n_head)
-    tail_assoc = top_associations(params, tail, n_tail)
+    if associations is None:
+        associations = (
+            top_associations(params, head, n_head),
+            top_associations(params, tail, n_tail),
+        )
+    head_assoc, tail_assoc = associations
     kept = []
     for ha, hp in head_assoc:
         for ta, tp in tail_assoc:
@@ -535,90 +608,63 @@ def rationalize_pair(
 
     OWA ranks every surviving candidate triple.  CWA restricts the
     assumption pairs to those contained in the kb and reports only kb
-    triples (relation taken from the kb); if no association pair matches
-    the kb, prediction falls back to the unrestricted pair set and the
-    report is flagged with an empty rationale list.
+    triples whose relation survived the NA threshold for its pair
+    (relation taken from the kb); if no association pair matches the kb,
+    prediction falls back to the unrestricted pair set and the report is
+    flagged with an empty rationale list.  Each side's associations are
+    recalled once and shared by the pair filter and the prediction.
     """
     mode = mode.upper()
+    target = (head, relation, tail)
     if mode == OWA_MODE:
         probability, records = predict_relation(
             params, head, tail, n_head, n_tail, include_na=include_na
         )
         return extract_rationales(
-            records,
-            (head, relation, tail),
-            top_k,
-            vocab=vocab,
-            schema=schema,
+            records, target, top_k, vocab=vocab, schema=schema,
             probability=probability,
         )
     if mode != CWA_MODE:
         raise ValueError(f"unknown mode {mode!r}; expected OWA or CWA")
     if kb is None:
         raise ValueError("CWA mode needs a kb triple set")
-    kept = cwa_rationales(params, kb, head, tail, n_head, n_tail)
-    if not kept:
-        trace = prediction_forward(
-            params, head, tail, n_head, n_tail, include_na=include_na
-        )
-        return RationaleReport(
-            head=vocab.term_of(head),
-            tail=vocab.term_of(tail),
-            relation=schema.name_of(relation),
-            mode=CWA_MODE,
-            probability=trace.probability,
-            rationales=[],
-            fallback=True,
-        )
-    pair_heads = np.array([p.assoc_head for p in kept], dtype=np.int64)
-    pair_tails = np.array([p.assoc_tail for p in kept], dtype=np.int64)
+    head_assoc = top_associations(params, head, n_head)
+    tail_assoc = top_associations(params, tail, n_tail)
+    kept = cwa_rationales(
+        params, kb, head, tail, n_head, n_tail, associations=(head_assoc, tail_assoc)
+    )
+    if kept:
+        pair_heads = np.array([p.assoc_head for p in kept], dtype=np.int64)
+        pair_tails = np.array([p.assoc_tail for p in kept], dtype=np.int64)
+    else:
+        pair_heads, pair_tails = _cross_pairs(head_assoc, tail_assoc)
     trace = prediction_forward(
         params,
         head,
         tail,
         n_head,
         n_tail,
-        pairs=(pair_heads, pair_tails),
+        structure=PredictionStructure(
+            head_assoc=head_assoc,
+            tail_assoc=tail_assoc,
+            pair_heads=pair_heads,
+            pair_tails=pair_tails,
+        ),
         include_na=include_na,
     )
-    records = _records_from_trace(trace)
     candidates = []
-    for record in records:
-        for k in kb.relations_between(record.assoc_head, record.assoc_tail):
-            if k >= schema.n_rel:
-                continue  # reverse rows never appear in reports
-            if (record.assoc_head, k, record.assoc_tail) == (head, relation, tail):
-                continue
-            candidates.append(
-                (
-                    record.attn * float(record.posterior.probs[k]),
-                    record.assoc_head,
-                    record.assoc_tail,
-                    k,
-                    record.attn,
-                    float(record.posterior.probs[k]),
-                )
-            )
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
-    entries = [
-        RationaleEntry(
-            head=vocab.term_of(h),
-            relation=schema.name_of(k),
-            tail=vocab.term_of(t),
-            score=score,
-            attn=attn,
-            posterior=post,
-            head_id=h,
-            relation_id=k,
-            tail_id=t,
-        )
-        for score, h, t, k, attn, post in candidates[:top_k]
-    ]
-    return RationaleReport(
-        head=vocab.term_of(head),
-        tail=vocab.term_of(tail),
-        relation=schema.name_of(relation),
-        mode=CWA_MODE,
-        probability=trace.probability,
-        rationales=entries,
+    if kept:
+        survivors = trace.structure.survivors
+        for p, (h, t) in enumerate(zip(pair_heads.tolist(), pair_tails.tolist())):
+            for k in kb.relations_between(h, t):
+                # Reverse rows never appear in reports; vetoed relations
+                # have no posterior to rank.
+                if k >= schema.n_rel or not survivors[p, k] or (h, k, t) == target:
+                    continue
+                attn = float(trace.attn[p])
+                post = float(trace.posterior[p, k])
+                candidates.append((attn * post, h, t, k, attn, post))
+    return _ranked_report(
+        candidates, target, top_k, vocab=vocab, schema=schema,
+        probability=trace.probability, mode=CWA_MODE, fallback=not kept,
     )

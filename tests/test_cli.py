@@ -8,8 +8,10 @@ import pytest
 
 from relrec.cli import main
 from relrec.evaluation import load_pairs_tsv
-from relrec.params import load_checkpoint
+from relrec.params import load_checkpoint, save_checkpoint
+from relrec.rationale import prediction_forward
 from relrec.relational import RelationSchema
+from relrec.training import TrainConfig, predict_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,44 @@ class TestPipeline:
                 assert (r["h"], r["r"], r["t"]) in kb_triples
 
 
+    def test_scoring_uses_checkpoint_include_na(self, workspace, tmp_path, capsys):
+        checkpoint = load_checkpoint(str(workspace["model"]))
+        config = dict(checkpoint.config)
+        train = TrainConfig(**{**config["train"], "include_na": False})
+        config["train"] = train.to_dict()
+        model = tmp_path / "no_na.bin"
+        save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
+        schema = RelationSchema(names=tuple(config["relations"]))
+        pairs = load_pairs_tsv(
+            str(workspace["splits"] / "test.tsv"), checkpoint.vocab, schema
+        )
+        dump = tmp_path / "probs.tsv"
+        code, out, err = run(
+            ["evaluate", "--model", str(model),
+             "--pairs", str(workspace["splits"] / "test.tsv"), "--dump", str(dump)],
+            capsys,
+        )
+        assert code == 0, err
+        dumped = [float(line.split("\t")[3]) for line in dump.read_text().splitlines()]
+        args = (checkpoint.params, pairs, train.n_assoc_head, train.n_assoc_tail)
+        expected = predict_probabilities(*args, include_na=False)
+        assert dumped == expected.tolist()
+        assert dumped != predict_probabilities(*args, include_na=True).tolist()
+
+        head, tail = pairs[0].head, pairs[0].tail
+        code, out, err = run(
+            ["rationalize", "--model", str(model),
+             "--head", checkpoint.vocab.term_of(head),
+             "--tail", checkpoint.vocab.term_of(tail)],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(out.splitlines()[0])["probability"] == prediction_forward(
+            checkpoint.params, head, tail, train.n_assoc_head, train.n_assoc_tail,
+            include_na=False,
+        ).probability
+
+
 def load_split(workspace, name):
     checkpoint = load_checkpoint(str(workspace["model"]))
     schema = RelationSchema(names=tuple(checkpoint.config["relations"]))
@@ -303,6 +343,18 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
         assert "e9999" in err
+
+    @pytest.mark.parametrize("topk", ["0", "-1"])
+    def test_rationalize_topk_below_one(self, workspace, capsys, topk):
+        head, tail = load_split(workspace, "test")[0]
+        code, out, err = run(
+            ["rationalize", "--model", str(workspace["model"]),
+             "--head", head, "--tail", tail, "--topk", topk],
+            capsys,
+        )
+        assert code == 1
+        assert "usage error" in err and "--topk" in err
+        assert out == ""
 
     def test_corrupt_checkpoint(self, workspace, tmp_path, capsys):
         payload = bytearray(workspace["model"].read_bytes())

@@ -9,6 +9,7 @@ import pytest
 
 from relrec.graph import Vocab
 from relrec.params import ModelDims, init_params
+import relrec.rationale
 from relrec.rationale import (
     AssumptionRecord,
     CwaPair,
@@ -18,6 +19,7 @@ from relrec.rationale import (
     extract_rationales,
     pair_representation,
     predict_relation,
+    prediction_backward,
     prediction_forward,
     rationalize_pair,
 )
@@ -179,6 +181,138 @@ class TestPredictionForward:
         assert result.max_error <= 1e-4
 
 
+def unfactored_forward_backward(params, structure, include_na, dlogit):
+    """The pair projection in its per-pair form: every pair's
+    concatenated input [E[h]; E[t]; a] through the full pair weight, and
+    gradients scattered into entity rows pair by pair with np.add.at.
+    Returns (probability, grads)."""
+    dims = params.dims
+    d, n_rel = dims.d, dims.n_rel
+    heads, tails = structure.pair_heads, structure.pair_tails
+    E, R = params.entity_emb, params.relation_emb
+    rows = np.concatenate([np.arange(n_rel), [dims.na_index]])
+    diff = E[heads][:, None, :] + R[rows][None, :, :] - E[tails][:, None, :]
+    all_scores = -np.abs(diff).sum(axis=2)
+    scores, na_scores = all_scores[:, :n_rel], all_scores[:, n_rel]
+    masked = np.where(structure.survivors, scores, -np.inf)
+    m = masked.max(axis=1, initial=-np.inf)
+    if include_na:
+        m = np.maximum(m, na_scores)
+    m = np.where(np.isfinite(m), m, 0.0)
+    exp_fwd = np.exp(masked - m[:, None])
+    exp_na = np.exp(na_scores - m) if include_na else np.zeros(len(heads))
+    z = exp_na + exp_fwd.sum(axis=1)
+    z = np.where(z > 0, z, 1.0)
+    posterior, na_mass = exp_fwd / z[:, None], exp_na / z
+    inputs = np.concatenate([E[heads], E[tails], posterior @ R[:n_rel]], axis=1)
+    reprs = np.tanh(inputs @ params.pair_weight + params.pair_bias)
+    hidden = np.tanh(reprs @ params.attn_weight.T + params.attn_bias)
+    logits = hidden @ params.attn_vector
+    attn = np.exp(logits - logits.max())
+    attn /= attn.sum()
+    pooled = attn @ reprs
+    logit = float(params.out_weight @ pooled + params.out_bias)
+
+    grads = {
+        "entity_emb": np.zeros_like(E),
+        "relation_emb": np.zeros_like(R),
+        "out_weight": dlogit * pooled,
+        "out_bias": np.asarray(dlogit),
+    }
+    d_pooled = dlogit * params.out_weight
+    d_attn = reprs @ d_pooled
+    d_logits = attn * (d_attn - attn @ d_attn)
+    grads["attn_vector"] = hidden.T @ d_logits
+    d_hidden = d_logits[:, None] * params.attn_vector * (1.0 - hidden**2)
+    grads["attn_weight"] = d_hidden.T @ reprs
+    grads["attn_bias"] = d_hidden.sum(axis=0)
+    d_repr = attn[:, None] * d_pooled + d_hidden @ params.attn_weight
+    d_pre = d_repr * (1.0 - reprs**2)
+    grads["pair_weight"] = inputs.T @ d_pre
+    grads["pair_bias"] = d_pre.sum(axis=0)
+    d_inputs = d_pre @ params.pair_weight.T
+    d_assum = d_inputs[:, 2 * d :]
+    grads["relation_emb"][:n_rel] += posterior.T @ d_assum
+    d_post = d_assum @ R[:n_rel].T
+    inner = (d_post * posterior).sum(axis=1)
+    d_all = np.concatenate(
+        [posterior * (d_post - inner[:, None]), (-na_mass * inner)[:, None]], axis=1
+    )
+    weighted = d_all[:, :, None] * np.sign(diff)
+    rel_rows = -weighted.sum(axis=0)
+    grads["relation_emb"][:n_rel] += rel_rows[:n_rel]
+    grads["relation_emb"][dims.na_index] += rel_rows[n_rel]
+    np.add.at(grads["entity_emb"], heads, d_inputs[:, :d] - weighted.sum(axis=1))
+    np.add.at(grads["entity_emb"], tails, d_inputs[:, d : 2 * d] + weighted.sum(axis=1))
+    return 1.0 / (1.0 + np.exp(-logit)), grads
+
+
+def random_params(seed, vocab_size=30):
+    params = init_params(ModelDims(d=6, d_p=5, d_a=4, n_rel=3), vocab_size, seed=seed)
+    rng = np.random.default_rng(seed)
+    for tensor in params.tensors().values():
+        tensor[...] = rng.normal(0.0, 0.5, size=tensor.shape)
+    return params
+
+
+def assert_relative_close(actual, expected, tol=1e-12):
+    scale = max(float(np.abs(expected).max()), 1.0)
+    assert float(np.abs(actual - expected).max()) <= tol * scale
+
+
+class TestFactoredKernelEquivalence:
+    """The factored pair projection equals the per-pair form."""
+
+    # Explicit pair lists: CWA-style with repeated heads and tails, and a
+    # grid whose entities 3 and 1 are both head and tail associations.
+    PAIR_SETS = {
+        "cross_product_grid": None,
+        "cwa_pair_list": ([4, 4, 9, 2, 9, 4], [7, 11, 7, 7, 5, 5]),
+        "shared_entity_grid": (
+            np.repeat([1, 2, 3], 3),
+            np.tile([3, 4, 1], 3),
+        ),
+    }
+
+    def check(self, params, trace, include_na):
+        probability, expected = unfactored_forward_backward(
+            params, trace.structure, include_na, dlogit=0.7
+        )
+        assert abs(trace.probability - probability) <= 1e-12 * probability
+        grads = prediction_backward(params, trace, 0.7)
+        assert set(grads) == set(expected)
+        for name, grad in expected.items():
+            assert_relative_close(grads[name], grad)
+
+    @pytest.mark.parametrize("include_na", [True, False])
+    @pytest.mark.parametrize("pair_set", sorted(PAIR_SETS))
+    def test_matches_per_pair_form(self, pair_set, include_na):
+        pairs = self.PAIR_SETS[pair_set]
+        for seed in range(3):
+            params = random_params(seed)
+            trace = prediction_forward(
+                params, 0, 8, 4, 3,
+                pairs=None if pairs is None else tuple(np.asarray(p) for p in pairs),
+                include_na=include_na,
+            )
+            self.check(params, trace, include_na)
+
+    @pytest.mark.parametrize("include_na", [True, False])
+    def test_matches_per_pair_form_with_frozen_structure(self, include_na):
+        params = random_params(5)
+        structure = prediction_forward(
+            params, 0, 8, 4, 3, include_na=include_na
+        ).structure
+        # Moved parameters keep the frozen survivor sets, so some pairs
+        # score relations that would not survive on their own.
+        moved = random_params(6)
+        trace = prediction_forward(
+            moved, 0, 8, 4, 3, structure=structure, include_na=include_na
+        )
+        assert trace.structure is structure
+        self.check(moved, trace, include_na)
+
+
 class TestExtractRationales:
     def make_report(self, records, target=(7, 0, 7), top_k=5):
         vocab = Vocab([f"e{i}" for i in range(8)])
@@ -325,6 +459,47 @@ class TestCwa:
         assert not report.fallback
         emitted = {(r.head, r.relation, r.tail) for r in report.rationales}
         assert emitted <= {("e3", "r0", "e5"), ("e2", "r0", "e4")}
+
+    def test_vetoed_kb_relation_not_reported(self):
+        params = init_params(ModelDims.square(4, 2), 8, seed=0)
+        rng = np.random.default_rng(0)
+        for tensor in params.tensors().values():
+            tensor[...] = rng.normal(0.0, 0.5, size=tensor.shape)
+        trace = prediction_forward(params, 0, 1, 3, 3)
+        vetoed = np.argwhere(trace.posterior == 0.0)
+        assert len(vetoed) > 0
+        pair, relation = (int(x) for x in vetoed[0])
+        triple = (
+            int(trace.structure.pair_heads[pair]),
+            relation,
+            int(trace.structure.pair_tails[pair]),
+        )
+        report = rationalize_pair(
+            params, Vocab([f"e{i}" for i in range(8)]),
+            RelationSchema(names=("r0", "r1")), 0, 1, 0,
+            n_head=3, n_tail=3, top_k=5, mode="cwa",
+            kb=TripleSet(triples=[triple]),
+        )
+        assert not report.fallback
+        assert report.rationales == []
+
+    @pytest.mark.parametrize("kb_triples", [[(3, 0, 5)], [(0, 0, 1)]])
+    def test_each_side_recalled_once(self, monkeypatch, kb_triples):
+        params = self.build_retrieval_world()
+        calls = []
+        recall = relrec.rationale.top_associations
+
+        def counting(*args):
+            calls.append(args[1])
+            return recall(*args)
+
+        monkeypatch.setattr(relrec.rationale, "top_associations", counting)
+        rationalize_pair(
+            params, Vocab([f"e{i}" for i in range(6)]), RelationSchema(names=("r0",)),
+            0, 1, 0, n_head=2, n_tail=2, top_k=5, mode="cwa",
+            kb=TripleSet(triples=kb_triples),
+        )
+        assert sorted(calls) == [0, 1]
 
     def test_fallback_when_nothing_matches(self):
         params = self.build_retrieval_world()
