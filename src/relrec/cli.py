@@ -100,12 +100,29 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(
                 f"config file {config_path}: unknown key(s): {', '.join(unknown)}"
             )
+        for key, value in file_cfg.items():
+            kind = args.option_types.get(key, str)
+            if not _matches_type(value, kind):
+                raise UsageError(
+                    f"config file {config_path}: {key} must be a {kind.__name__}, "
+                    f"got {value!r}"
+                )
         merged.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _matches_type(value, kind: type) -> bool:
+    """Whether a config-file value is one its flag's argparse `type` could
+    have produced.  JSON integers pass as floats; a bool is not a number."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 def _require(merged: dict, *keys: str) -> None:
@@ -164,7 +181,6 @@ TRAIN_DEFAULTS = {
     "epochs": 200,
     "patience": 10,
     "seed": 0,
-    "mode": "owa",
     "threads": 1,
 }
 
@@ -172,6 +188,21 @@ TRAIN_DEFAULTS = {
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, TRAIN_DEFAULTS)
     _require(cfg, "graph", "triples", "pairs", "out")
+    try:
+        train_config = TrainConfig(
+            d=cfg["dim"],
+            n_neg=cfg["n_neg"],
+            n_assoc=cfg["n_assoc"],
+            lr=cfg["lr"],
+            b1=cfg["b1"],
+            b2=cfg["b2"],
+            b3=cfg["b3"],
+            max_epochs=cfg["epochs"],
+            patience=cfg["patience"],
+            seed=cfg["seed"],
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid training option: {exc}") from None
     graph = load_cooc_graph(cfg["graph"])
     ppmi = compute_ppmi(graph)
     schema = RelationSchema(names=_relation_names_in_tsv(cfg["triples"]))
@@ -206,18 +237,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     kept_triples = [t for t in triples.triples if t not in held_out]
     train_triples = TripleSet(triples=kept_triples)
 
-    train_config = TrainConfig(
-        d=cfg["dim"],
-        n_neg=cfg["n_neg"],
-        n_assoc=cfg["n_assoc"],
-        lr=cfg["lr"],
-        b1=cfg["b1"],
-        b2=cfg["b2"],
-        b3=cfg["b3"],
-        max_epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        seed=cfg["seed"],
-    )
     result = joint_train(
         graph, ppmi, train_triples, train_pairs, dev_pairs, train_config, schema
     )
@@ -431,6 +450,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _option_types(parser: argparse.ArgumentParser) -> dict[str, type]:
+    """The type each flag of `parser` parses its value to, keyed by its
+    config-file name; flags without a `type` take strings."""
+    return {a.dest: a.type or str for a in parser._actions if a.option_strings}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="relrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -459,7 +484,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--b3", type=int, default=None)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--patience", type=int, default=None)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, option_types=_option_types(p_train))
 
     p_eval = sub.add_parser("evaluate", help="score labeled pairs with a model")
     add_common(p_eval)
@@ -467,7 +492,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--pairs")
     p_eval.add_argument("--dump")
     p_eval.add_argument("--threshold", type=float, default=None)
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, option_types=_option_types(p_eval))
 
     p_rat = sub.add_parser("rationalize", help="explain one pair prediction")
     add_common(p_rat)
@@ -478,7 +503,7 @@ def build_parser() -> _Parser:
     p_rat.add_argument("--topk", type=int, default=None)
     p_rat.add_argument("--mode", choices=["owa", "cwa"], default=None)
     p_rat.add_argument("--triples")
-    p_rat.set_defaults(func=cmd_rationalize)
+    p_rat.set_defaults(func=cmd_rationalize, option_types=_option_types(p_rat))
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     add_common(p_synth)
@@ -488,7 +513,7 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--relations", type=int, default=None)
     p_synth.add_argument("--density", type=float, default=None)
     p_synth.add_argument("--noise", type=float, default=None)
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, option_types=_option_types(p_synth))
     return parser
 
 

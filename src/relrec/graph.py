@@ -174,7 +174,7 @@ def load_cooc_graph(path: str) -> CoocGraph:
                 raise GraphFormatError(
                     f"{path}: line {lineno}: empty term name"
                 )
-            if not count_str.isdigit():
+            if not (count_str.isascii() and count_str.isdigit()):
                 raise GraphFormatError(
                     f"{path}: line {lineno}: count must be a positive "
                     f"integer, got {count_str!r}"

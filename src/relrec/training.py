@@ -60,7 +60,6 @@ class TrainConfig:
     n_assoc: int = 32
     n_assoc_head: int | None = None
     n_assoc_tail: int | None = None
-    top_k: int = 5
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -87,7 +86,7 @@ class TrainConfig:
         if self.n_assoc_tail is None:
             self.n_assoc_tail = self.n_assoc
         for name in ("d", "d_p", "d_a", "n_neg", "n_assoc", "n_assoc_head",
-                     "n_assoc_tail", "top_k", "b1", "b2", "b3", "max_epochs",
+                     "n_assoc_tail", "b1", "b2", "b3", "max_epochs",
                      "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be >= 1")
@@ -259,6 +258,7 @@ def joint_train(
     augmented = triples.augment_reverse(schema.n_rel)
     if config.enable_relational and len(augmented) == 0:
         raise ValueError("relational stage enabled but the triple set is empty")
+    augmented_ids = np.asarray(augmented.triples, dtype=np.int64).reshape(-1, 3)
     if config.enable_prediction:
         if not train_pairs or not dev_pairs:
             raise ValueError("prediction stage enabled but pairs are missing")
@@ -307,7 +307,7 @@ def joint_train(
                 idx = rng.choice(
                     len(augmented), size=min(config.b2, len(augmented)), replace=False
                 )
-                batch_triples = [augmented.triples[i] for i in idx]
+                batch_triples = augmented_ids[idx]
                 corruption_seed = int(rng.integers(0, 2**63 - 1))
                 loss, grads = relational_loss(
                     params, batch_triples, config.n_neg, seed=corruption_seed

@@ -266,6 +266,41 @@ class TestConfigFile:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "file_cfg",
+        [
+            {"dim": "8"},  # a string for an int flag
+            {"dim": True},  # a bool is not an int
+            {"epochs": 2.0},  # a float for an int flag
+            {"lr": "0.1"},  # a string for a float flag
+            {"ratios": [0.7, 0.15, 0.15]},  # a list for a string flag
+        ],
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, capsys, file_cfg):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(file_cfg))
+        code, out, err = run(
+            ["train", "--config", str(config), "--graph", "/nonexistent/g.tsv",
+             "--triples", "/nonexistent/t.tsv", "--pairs", "/nonexistent/p.tsv",
+             "--out", str(tmp_path / "m.bin")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert next(iter(file_cfg)) in err
+
+    def test_train_rejects_mode_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "owa"}))
+        code, out, err = run(
+            ["train", "--config", str(config), "--graph", "/nonexistent/g.tsv",
+             "--triples", "/nonexistent/t.tsv", "--pairs", "/nonexistent/p.tsv",
+             "--out", str(tmp_path / "m.bin")],
+            capsys,
+        )
+        assert code == 1
+        assert "usage error" in err and "mode" in err
+
     def test_missing_config_file_is_data_error(self, workspace, tmp_path, capsys):
         code, out, err = run(
             ["synth", "--config", str(tmp_path / "nope.json"),
@@ -355,6 +390,57 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err and "--topk" in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--dim", "--n-assoc", "--n-neg"])
+    def test_train_option_below_one_checked_before_data(self, tmp_path, capsys, flag):
+        # The data paths do not exist: a data error (exit 2) would mean the
+        # option was checked only after reading the inputs.
+        code, out, err = run(
+            ["train", "--graph", "/nonexistent/g.tsv",
+             "--triples", "/nonexistent/t.tsv", "--pairs", "/nonexistent/p.tsv",
+             "--out", str(tmp_path / "m.bin"), flag, "0"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
+    def test_non_ascii_graph_count_is_data_error(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        graph = tmp_path / "graph.tsv"
+        graph.write_text(
+            (data / "graph.tsv").read_text() + "e0001\te0002\t\u00b2\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            ["train", "--graph", str(graph),
+             "--triples", str(data / "triples.tsv"),
+             "--pairs", str(data / "pairs.tsv"),
+             "--out", str(tmp_path / "m.bin"), "--relation", "rel_0"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:") and "count" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_with_top_k_still_serves(self, workspace, tmp_path, capsys):
+        checkpoint = load_checkpoint(str(workspace["model"]))
+        config = dict(checkpoint.config)
+        config["train"] = {**config["train"], "top_k": 5}
+        model = tmp_path / "top_k.bin"
+        save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
+        code, out, err = run(
+            ["evaluate", "--model", str(model),
+             "--pairs", str(workspace["splits"] / "test.tsv")],
+            capsys,
+        )
+        assert code == 0, err
+        head, tail = load_split(workspace, "test")[0]
+        code, out, err = run(
+            ["rationalize", "--model", str(model), "--head", head, "--tail", tail],
+            capsys,
+        )
+        assert code == 0, err
 
     def test_corrupt_checkpoint(self, workspace, tmp_path, capsys):
         payload = bytearray(workspace["model"].read_bytes())

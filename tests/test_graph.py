@@ -129,6 +129,8 @@ class TestLoader:
             "a\tb\t-2",  # negative count
             "a\tb\t1.5",  # non-integer count
             "\tb\t1",  # empty term
+            "a\tb\t\u00b2",  # superscript two: a digit to str.isdigit, not to int
+            "a\tb\t\u0663",  # Arabic-Indic three: non-ASCII digit
         ],
     )
     def test_malformed_lines_raise_with_location(self, tmp_path, line):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relrec.graph import GraphFormatError, Vocab
 from relrec.params import ModelDims, init_params
@@ -224,6 +226,12 @@ class TestCorruptions:
                     assert 0 <= value < 5
                     assert other == (3 if side == "head" else 2)
 
+    def test_frozen_draws_for_seed(self):
+        tails = [t for _, _, t in corrupt_triples((3, 1, 7), 10, "tail", 20, 5)]
+        heads = [h for h, _, _ in corrupt_triples((3, 1, 7), 10, "head", 20, 5)]
+        assert tails == [13, 16, 0, 16, 9, 10, 12, 5, 19, 1]
+        assert heads == [13, 16, 0, 16, 9, 10, 12, 6, 19, 1]
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             corrupt_triples((0, 0, 1), 3, "middle", 5, 0)
@@ -259,3 +267,122 @@ class TestRelationalLoss:
         (result,) = grad_check(losses=("relational",))
         assert result.passed, result.format()
         assert result.max_error <= 1e-4
+
+
+def _per_triple_corruptions(triple, n_neg, side, vocab_size, rng):
+    """The per-triple sampler the batched draw replaced."""
+    head, relation, tail = triple
+    gold = head if side == "head" else tail
+    draws = rng.integers(0, vocab_size - 1, size=n_neg)
+    draws = draws + (draws >= gold)
+    if side == "head":
+        return [(int(e), relation, tail) for e in draws]
+    return [(head, relation, int(e)) for e in draws]
+
+
+def per_triple_relational_loss(params, triples, n_neg, seed):
+    """Reference form of relational_loss: per-triple corruption draws and
+    six sequential np.add.at scatters."""
+    rng = np.random.default_rng(seed)
+    ent = params.entity_emb
+    rel = params.relation_emb
+    batch = len(triples)
+    heads = np.array([t[0] for t in triples], dtype=np.int64)
+    rels = np.array([t[1] for t in triples], dtype=np.int64)
+    tails = np.array([t[2] for t in triples], dtype=np.int64)
+    cand_tails = np.empty((batch, n_neg + 1), dtype=np.int64)
+    cand_heads = np.empty((batch, n_neg + 1), dtype=np.int64)
+    cand_tails[:, 0] = tails
+    cand_heads[:, 0] = heads
+    for b, triple in enumerate(triples):
+        corrupted_t = _per_triple_corruptions(
+            triple, n_neg, "tail", params.vocab_size, rng
+        )
+        corrupted_h = _per_triple_corruptions(
+            triple, n_neg, "head", params.vocab_size, rng
+        )
+        cand_tails[b, 1:] = [t for _, _, t in corrupted_t]
+        cand_heads[b, 1:] = [h for h, _, _ in corrupted_h]
+
+    grad_entity = np.zeros_like(ent)
+    grad_relation = np.zeros_like(rel)
+    loss = 0.0
+    for cand, fixed, fixed_is_head in (
+        (cand_tails, heads, True),
+        (cand_heads, tails, False),
+    ):
+        if fixed_is_head:
+            base = ent[fixed] + rel[rels]
+            diff = base[:, None, :] - ent[cand]
+        else:
+            base = rel[rels] - ent[fixed]
+            diff = ent[cand] + base[:, None, :]
+        sign = np.sign(diff)
+        scores = -np.abs(diff).sum(axis=2)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1))
+        loss += float((log_z - shifted[:, 0]).sum())
+        weight = np.exp(shifted) / np.exp(log_z)[:, None]
+        weight[:, 0] -= 1.0
+        weighted_sign = weight[:, :, None] * sign
+        summed = weighted_sign.sum(axis=1)
+        np.add.at(grad_relation, rels, -summed)
+        flat_cand = cand.reshape(-1)
+        flat_sign = weighted_sign.reshape(-1, ent.shape[1])
+        if fixed_is_head:
+            np.add.at(grad_entity, fixed, -summed)
+            np.add.at(grad_entity, flat_cand, flat_sign)
+        else:
+            np.add.at(grad_entity, fixed, summed)
+            np.add.at(grad_entity, flat_cand, -flat_sign)
+    return loss, {"entity_emb": grad_entity, "relation_emb": grad_relation}
+
+
+@st.composite
+def relational_batches(draw):
+    """Random parameters and a triple batch with forward and reverse
+    relation rows, possibly repeating triples."""
+    vocab_size = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 40))
+    n_rel = draw(st.integers(1, 3))
+    triple = st.tuples(
+        st.integers(0, vocab_size - 1),
+        st.integers(0, 2 * n_rel - 1),
+        st.integers(0, vocab_size - 1),
+    )
+    triples = draw(st.lists(triple, min_size=1, max_size=12))
+    repeats = draw(st.integers(0, len(triples)))
+    return (
+        vocab_size,
+        d,
+        n_rel,
+        triples + triples[:repeats],
+        draw(st.integers(1, 12)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestRelationalLossEquivalence:
+    """The batched relational loss equals the per-triple form bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(relational_batches())
+    @example((2, 3, 1, [(0, 0, 1), (1, 1, 0)], 4, 0))  # V = 2, reverse row
+    @example((9, 37, 2, [(2, 3, 5), (2, 3, 5), (4, 0, 4)], 1, 3))  # n_neg = 1
+    @example((30, 16, 1, [(7, 1, 2)] * 3, 5, 9))  # repeated triple
+    def test_matches_per_triple_form(self, case):
+        vocab_size, d, n_rel, triples, n_neg, seed = case
+        params = init_params(ModelDims.square(d, n_rel), vocab_size, seed=seed)
+        rng = np.random.default_rng(seed)
+        for tensor in params.tensors().values():
+            tensor[...] = rng.normal(0.0, 0.5, size=tensor.shape)
+        expected_loss, expected = per_triple_relational_loss(
+            params, triples, n_neg, seed
+        )
+        for batch in (triples, np.array(triples, dtype=np.int64)):
+            loss, grads = relational_loss(params, batch, n_neg, seed=seed)
+            assert loss == expected_loss
+            assert set(grads) == set(expected)
+            for name, grad in expected.items():
+                assert grads[name].dtype == grad.dtype
+                assert np.array_equal(grads[name], grad)
