@@ -20,14 +20,12 @@ from .evaluation import (
 )
 from .graph import (
     CoocGraph,
-    EmpiricalDist,
     GraphFormatError,
     PpmiMatrix,
     UnknownTermError,
     Vocab,
     compute_ppmi,
     dump_cooc_graph,
-    empirical_context_dist,
     load_cooc_graph,
 )
 from .params import (

@@ -181,7 +181,6 @@ TRAIN_DEFAULTS = {
     "epochs": 200,
     "patience": 10,
     "seed": 0,
-    "threads": 1,
 }
 
 
@@ -372,7 +371,6 @@ RATIONALIZE_DEFAULTS = {
     "topk": 5,
     "mode": "owa",
     "triples": None,
-    "threads": 1,
 }
 
 
@@ -462,11 +460,10 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
 
     p_train = sub.add_parser("train", help="train a model for one relation")
     add_common(p_train)
+    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--graph")
     p_train.add_argument("--triples")
     p_train.add_argument("--pairs")
@@ -488,6 +485,7 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("evaluate", help="score labeled pairs with a model")
     add_common(p_eval)
+    p_eval.add_argument("--threads", type=int, default=None)
     p_eval.add_argument("--model")
     p_eval.add_argument("--pairs")
     p_eval.add_argument("--dump")
@@ -507,6 +505,7 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     add_common(p_synth)
+    p_synth.add_argument("--seed", type=int, default=None)
     p_synth.add_argument("--out")
     p_synth.add_argument("--entities", type=int, default=None)
     p_synth.add_argument("--clusters", type=int, default=None)

@@ -1,17 +1,39 @@
 """Co-occurrence graph store.
 
-Ingests tab-separated co-occurrence counts, builds positive pointwise
-mutual information (PPMI) rows, and exposes the empirical association
-distribution of each entity (its PPMI row normalized to sum to one).
+Ingests tab-separated co-occurrence counts and builds the positive
+pointwise mutual information (PPMI) rows that the recall stage fits.
+
+Layout.  `CoocGraph` keeps the merged undirected edges as three int64
+arrays in coordinate (COO) form: `lo < hi` entity ids, sorted by
+`(lo, hi)`, and their summed `counts`.  `PpmiMatrix` keeps the positive
+PMI values in compressed sparse row (CSR) form: row i holds
+`indices[indptr[i]:indptr[i + 1]]` in ascending id order and the values
+`data` at the same positions; `neighbor_ids` and `values` are per-row
+views into those two arrays.
+
+Ingest.  The loader reads about 1 MB of whole lines at a time.  A chunk
+in which every line has two tabs, three non-empty fields and a count of
+at most 18 ASCII digits is validated and split as a whole; any other
+chunk (blank lines, longer counts, or an error to report) is parsed line
+by line with its absolute line numbers, so both give the same
+vocabulary order, edges and error messages.  Tokenizing a whole file at
+once would hold every term string of it in memory at the same time.
+
+PMI values are taken with `math.log`, one value at a time, not with
+`np.log`: the two differ in the last bit on about 0.1% of the ratios,
+and every stored value, and so every trained model, is meant to stay
+the same bit for bit.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import itertools
 import logging
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,17 +118,26 @@ class Vocab:
         return isinstance(other, Vocab) and self.terms == other.terms
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+# Characters of whole lines read and parsed together by load_cooc_graph.
+_CHUNK_CHARS = 1 << 20
+
+
 @dataclass
 class CoocGraph:
     """Undirected weighted co-occurrence graph over a vocabulary.
 
-    Edges are keyed (i, j) with i < j.  `marginals[i]` is the summed count
-    of all edges incident to i, and `total` is the sum of all marginals
-    (each edge therefore contributes twice).
+    Edge k joins `lo[k] < hi[k]` with summed count `counts[k]`; the
+    edges are sorted by `(lo, hi)` and unique.  `marginals[i]` is the
+    summed count of all edges incident to i, and `total` is the sum of
+    all marginals (each edge therefore contributes twice).  Both are
+    float64, exact while the sums stay below 2**53.
     """
 
     vocab: Vocab
-    edges: dict[tuple[int, int], int]
+    lo: np.ndarray
+    hi: np.ndarray
+    counts: np.ndarray
     marginals: np.ndarray
     total: float
     self_loops_dropped: int = 0
@@ -118,27 +149,77 @@ class CoocGraph:
         counts: dict[tuple[int, int], int],
         self_loops_dropped: int = 0,
     ) -> "CoocGraph":
-        marginals = np.zeros(len(vocab), dtype=np.float64)
-        for (i, j), c in counts.items():
-            if i >= j:
-                raise ValueError(f"edge key must have i < j, got {(i, j)}")
-            marginals[i] += c
-            marginals[j] += c
+        pairs = np.fromiter(
+            (i for key in counts for i in key), dtype=np.int64, count=2 * len(counts)
+        ).reshape(-1, 2)
+        bad = np.flatnonzero(pairs[:, 0] >= pairs[:, 1])
+        if len(bad):
+            raise ValueError(
+                f"edge key must have i < j, got {tuple(pairs[bad[0]].tolist())}"
+            )
+        values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        return cls.from_edges(
+            vocab, pairs[:, 0], pairs[:, 1], values, self_loops_dropped
+        )
+
+    @classmethod
+    def from_edges(
+        cls,
+        vocab: Vocab,
+        a: np.ndarray,
+        b: np.ndarray,
+        counts: np.ndarray,
+        self_loops_dropped: int = 0,
+    ) -> "CoocGraph":
+        """Merge an edge list with no self loops: duplicates in either
+        orientation are summed with integer adds."""
+        n = len(vocab)
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        if not np.all(keys[1:] > keys[:-1]):  # else sorted and unique already
+            order = np.argsort(keys)
+            keys, counts = keys[order], counts[order]
+            del order
+            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            _check_merged_counts_fit(counts, starts)
+            keys, counts = keys[starts], np.add.reduceat(counts, starts)
+        lo, hi = np.divmod(keys, n)
+        weights = counts.astype(np.float64)
+        marginals = np.zeros(n)
+        for end in (lo, hi):
+            marginals += np.bincount(end, weights, n)
         return cls(
             vocab=vocab,
-            edges=counts,
+            lo=lo,
+            hi=hi,
+            counts=counts,
             marginals=marginals,
             total=float(marginals.sum()),
             self_loops_dropped=self_loops_dropped,
         )
 
     def count(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        return self.edges.get(key, 0)
+        if i > j:
+            i, j = j, i
+        start, stop = np.searchsorted(self.lo, (i, i + 1))
+        pos = start + int(np.searchsorted(self.hi[start:stop], j))
+        if pos < stop and self.hi[pos] == j:
+            return int(self.counts[pos])
+        return 0
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.counts)
+
+
+def _check_merged_counts_fit(counts: np.ndarray, starts: np.ndarray) -> None:
+    """int64 adds wrap silently.  A summed count can pass the int64 range
+    only when all counts together come near it, and then the sums are
+    redone with Python integers."""
+    if counts.sum(dtype=np.float64) < 2.0**62:
+        return
+    groups = np.split(counts, starts[1:])
+    if any(sum(group.tolist()) > _INT64_MAX for group in groups):
+        raise GraphFormatError("a summed pair count does not fit in 64 bits")
 
 
 def _open_text(path: str):
@@ -147,69 +228,145 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8")
 
 
+def _split_chunk(text: str) -> tuple[list[str], np.ndarray] | None:
+    """Terms (a, b of each line in turn) and counts of whole lines that
+    end in a newline, or None when they need per-line parsing."""
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    tabs = np.flatnonzero(raw == 9)
+    ends = np.flatnonzero(raw == 10)
+    if len(tabs) != 2 * len(ends):
+        return None
+    first, second = tabs[0::2], tabs[1::2]
+    starts = np.concatenate(([-1], ends[:-1]))
+    # Tabs 2k and 2k+1 inside line k with a non-empty field on each side.
+    if not (
+        np.all(first > starts + 1)
+        and np.all(second > first + 1)
+        and np.all(ends > second + 1)
+    ):
+        return None
+    # Counts are parsed from the bytes: each field, right-aligned in a
+    # window as wide as the longest, with the bytes left of it read as 0.
+    width = int((ends - second).max()) - 1
+    if width > 18:  # may not fit in int64
+        return None
+    window = np.maximum(ends[:, None] - width + np.arange(width), 0)
+    digits = raw[window] - np.uint8(48)  # ASCII '0'; other bytes wrap past 9
+    digits[window <= second[:, None]] = 0
+    if not np.all(digits <= 9):
+        return None
+    counts = digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1)
+    if not np.all(counts > 0):
+        return None
+    tokens = text.replace("\n", "\t").split("\t")
+    tokens.pop()
+    del tokens[2::3]
+    return tokens, counts
+
+
+def _parse_lines(
+    lines: list[str], index: dict[str, int], path: str, first_lineno: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line parsing of one chunk whose first line is `first_lineno`:
+    accepts blank lines and reports the first malformed line."""
+    ids: list[int] = []
+    counts: list[int] = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise GraphFormatError(
+                f"{path}: line {lineno}: expected 3 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        term_a, term_b, count_str = fields
+        if not term_a or not term_b:
+            raise GraphFormatError(f"{path}: line {lineno}: empty term name")
+        if not (count_str.isascii() and count_str.isdigit()):
+            raise GraphFormatError(
+                f"{path}: line {lineno}: count must be a positive "
+                f"integer, got {count_str!r}"
+            )
+        count = int(count_str)
+        if count <= 0:
+            raise GraphFormatError(
+                f"{path}: line {lineno}: count must be positive, got {count}"
+            )
+        if count > _INT64_MAX:
+            raise GraphFormatError(
+                f"{path}: line {lineno}: count does not fit in 64 bits, "
+                f"got {count}"
+            )
+        ids.append(index[term_a])
+        ids.append(index[term_b])
+        counts.append(count)
+    return np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
 def load_cooc_graph(path: str) -> CoocGraph:
     """Load `term_a<TAB>term_b<TAB>count` rows (optionally gzipped).
 
     Duplicate pairs are summed regardless of orientation.  Self loops are
     dropped (counted on the returned graph and logged).  Counts must be
-    positive integers; anything else raises GraphFormatError with the
-    offending line number.
+    positive integers that fit in int64; anything else raises
+    GraphFormatError with the offending line number.
     """
-    vocab = Vocab()
-    counts: dict[tuple[int, int], int] = {}
-    dropped = 0
+    # Term -> id, a new term taking the next id on first lookup.
+    index: dict[str, int] = defaultdict(itertools.count().__next__)
+    id_chunks: list[np.ndarray] = []
+    count_chunks: list[np.ndarray] = []
+    lineno = 1
     with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}"
+        while lines := fh.readlines(_CHUNK_CHARS):
+            first_lineno, lineno = lineno, lineno + len(lines)
+            text = "".join(lines)
+            del lines  # one copy of the chunk at a time
+            if not text.endswith("\n"):
+                text += "\n"
+            split = _split_chunk(text)
+            if split is None:
+                ids, counts = _parse_lines(
+                    text.split("\n")[:-1], index, path, first_lineno
                 )
-            term_a, term_b, count_str = fields
-            if not term_a or not term_b:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: empty term name"
+            else:
+                tokens, counts = split
+                ids = np.fromiter(
+                    map(index.__getitem__, tokens), np.int64, len(tokens)
                 )
-            if not (count_str.isascii() and count_str.isdigit()):
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: count must be a positive "
-                    f"integer, got {count_str!r}"
-                )
-            count = int(count_str)
-            if count <= 0:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: count must be positive, "
-                    f"got {count}"
-                )
-            a = vocab.add(term_a)
-            b = vocab.add(term_b)
-            if a == b:
-                dropped += 1
-                continue
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + count
+            id_chunks.append(ids)
+            count_chunks.append(counts)
+    vocab = Vocab(index)
+    ids = np.concatenate(id_chunks) if id_chunks else np.zeros(0, np.int64)
+    counts = np.concatenate(count_chunks) if count_chunks else np.zeros(0, np.int64)
+    del id_chunks, count_chunks
+    a, b = ids[0::2], ids[1::2]
+    keep = a != b
+    dropped = len(keep) - int(keep.sum())
     if dropped:
         logger.warning("%s: dropped %d self-loop line(s)", path, dropped)
-    return CoocGraph.from_counts(vocab, counts, self_loops_dropped=dropped)
+        a, b, counts = a[keep], b[keep], counts[keep]
+    try:
+        return CoocGraph.from_edges(vocab, a, b, counts, self_loops_dropped=dropped)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def dump_cooc_graph(graph: CoocGraph, path: str) -> None:
     """Write the merged edge list as TSV, ordered by (i, j) id pairs."""
+    terms = graph.vocab.terms
     with open(path, "w", encoding="utf-8") as fh:
-        for (i, j) in sorted(graph.edges):
-            fh.write(
-                f"{graph.vocab.term_of(i)}\t{graph.vocab.term_of(j)}\t"
-                f"{graph.edges[(i, j)]}\n"
+        fh.writelines(
+            f"{terms[i]}\t{terms[j]}\t{c}\n"
+            for i, j, c in zip(
+                graph.lo.tolist(), graph.hi.tolist(), graph.counts.tolist()
             )
+        )
 
 
 @dataclass
 class PpmiMatrix:
-    """Sparse symmetric matrix of positive PMI values, stored per row.
+    """Sparse symmetric matrix of positive PMI values in CSR form.
 
     pmi(i, j) = ln(count_ij * total / (marginal_i * marginal_j)); only
     strictly positive values are kept.  Each edge value is computed once
@@ -217,8 +374,16 @@ class PpmiMatrix:
     """
 
     n_entities: int
-    neighbor_ids: list[np.ndarray]
-    values: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    neighbor_ids: list[np.ndarray] = field(init=False, repr=False)
+    values: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cuts = self.indptr[1:-1]
+        self.neighbor_ids = np.split(self.indices, cuts)
+        self.values = np.split(self.data, cuts)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         return self.neighbor_ids[i], self.values[i]
@@ -231,62 +396,27 @@ class PpmiMatrix:
         return 0.0
 
     def entities_with_support(self) -> np.ndarray:
-        return np.array(
-            [i for i in range(self.n_entities) if len(self.neighbor_ids[i])],
-            dtype=np.int64,
-        )
+        return np.flatnonzero(np.diff(self.indptr))
 
 
 def compute_ppmi(graph: CoocGraph) -> PpmiMatrix:
-    if not graph.edges:
+    if graph.n_edges == 0:
         raise ValueError("cannot compute PPMI of a graph with no edges")
     n = len(graph.vocab)
-    ids: list[list[int]] = [[] for _ in range(n)]
-    vals: list[list[float]] = [[] for _ in range(n)]
-    for (i, j), c in graph.edges.items():
-        pmi = math.log(
-            c * graph.total / (graph.marginals[i] * graph.marginals[j])
-        )
-        if pmi > 0.0:
-            ids[i].append(j)
-            vals[i].append(pmi)
-            ids[j].append(i)
-            vals[j].append(pmi)
-    neighbor_ids = []
-    values = []
-    for i in range(n):
-        row_ids = np.asarray(ids[i], dtype=np.int64)
-        row_vals = np.asarray(vals[i], dtype=np.float64)
-        order = np.argsort(row_ids)
-        neighbor_ids.append(row_ids[order])
-        values.append(row_vals[order])
-    return PpmiMatrix(n_entities=n, neighbor_ids=neighbor_ids, values=values)
-
-
-@dataclass
-class EmpiricalDist:
-    """Target association distribution of one entity: its PPMI row
-    normalized to a probability vector."""
-
-    entity: int
-    neighbor_ids: np.ndarray
-    probs: np.ndarray
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.neighbor_ids) == 0
-
-
-def empirical_context_dist(ppmi: PpmiMatrix, entity: int) -> EmpiricalDist:
-    """Normalize one PPMI row.  Entities with no positive-PPMI neighbors
-    get an empty distribution; callers are expected to skip them."""
-    if not 0 <= entity < ppmi.n_entities:
-        raise IndexError(f"entity id {entity} out of range")
-    ids, vals = ppmi.row(entity)
-    if len(ids) == 0:
-        return EmpiricalDist(
-            entity=entity,
-            neighbor_ids=ids.copy(),
-            probs=np.zeros(0, dtype=np.float64),
-        )
-    return EmpiricalDist(entity=entity, neighbor_ids=ids, probs=vals / vals.sum())
+    m = graph.marginals
+    ratio = graph.counts * graph.total / (m[graph.lo] * m[graph.hi])
+    keep = np.flatnonzero(ratio > 1.0)
+    pmi = np.fromiter(map(math.log, memoryview(ratio[keep])), np.float64, len(keep))
+    lo, hi = graph.lo[keep], graph.hi[keep]
+    # Row r is its lo-neighbours (edges with hi == r, ascending lo) and
+    # then its hi-neighbours (ascending hi): ascending id order.
+    rows = np.concatenate((hi, lo))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return PpmiMatrix(
+        n_entities=n,
+        indptr=indptr,
+        indices=np.concatenate((lo, hi))[order],
+        data=np.concatenate((pmi, pmi))[order],
+    )

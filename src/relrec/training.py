@@ -90,6 +90,10 @@ class TrainConfig:
                      "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(
+                f"config field lr must be a positive finite number, got {self.lr}"
+            )
         if np.dtype(self.dtype) not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError("dtype must be float64 or float32")
 

@@ -301,6 +301,23 @@ class TestConfigFile:
         assert code == 1
         assert "usage error" in err and "mode" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--graph", "/nonexistent/g.tsv", "--triples",
+             "/nonexistent/t.tsv", "--pairs", "/nonexistent/p.tsv", "--out", "m.bin"],
+            ["rationalize", "--model", "/nonexistent/m.bin", "--head", "a",
+             "--tail", "b"],
+        ],
+        ids=["train", "rationalize"],
+    )
+    def test_threads_key_rejected(self, tmp_path, capsys, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 2}))
+        code, out, err = run(argv + ["--config", str(config)], capsys)
+        assert code == 1
+        assert "unknown key(s): threads" in err
+
     def test_missing_config_file_is_data_error(self, workspace, tmp_path, capsys):
         code, out, err = run(
             ["synth", "--config", str(tmp_path / "nope.json"),
@@ -404,6 +421,33 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_train_learning_rate_checked_before_data(self, tmp_path, capsys, lr):
+        code, out, err = run(
+            ["train", "--graph", "/nonexistent/g.tsv",
+             "--triples", "/nonexistent/t.tsv", "--pairs", "/nonexistent/p.tsv",
+             "--out", str(tmp_path / "m.bin"), "--lr", lr],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage error:") and "lr" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rationalize", "--model", "m.bin", "--head", "a", "--tail", "b",
+             "--seed", "1"],
+            ["train", "--graph", "g.tsv", "--triples", "t.tsv", "--pairs", "p.tsv",
+             "--out", "m.bin", "--threads", "2"],
+        ],
+        ids=["rationalize-seed", "train-threads"],
+    )
+    def test_flag_without_effect_is_rejected(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("usage error:") and argv[-2] in err
 
     def test_non_ascii_graph_count_is_data_error(self, workspace, tmp_path, capsys):
         data = workspace["data"]

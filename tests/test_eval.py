@@ -227,7 +227,10 @@ class TestGenerateSynthetic:
         )
         assert again.rule == world.rule
         assert np.array_equal(again.clusters, world.clusters)
-        assert again.graph.edges == world.graph.edges
+        for name in ("lo", "hi", "counts"):
+            assert np.array_equal(
+                getattr(again.graph, name), getattr(world.graph, name)
+            )
         assert again.triples.triples == world.triples.triples
         assert {
             r: [(p.head, p.tail, p.label) for p in ps]
@@ -270,13 +273,16 @@ class TestGenerateSynthetic:
         world = generate_synthetic(
             n_entities=50, n_clusters=4, n_rel=2, noise=0.0, seed=1
         )
-        for i, j in world.graph.edges:
+        for i, j in zip(world.graph.lo.tolist(), world.graph.hi.tolist()):
             ci, cj = int(world.clusters[i]), int(world.clusters[j])
             assert (ci, cj) in world.rule or (cj, ci) in world.rule
 
     def test_signal_edges_outweigh_noise_edges(self, world):
         signal, noise = [], []
-        for (i, j), count in world.graph.edges.items():
+        graph = world.graph
+        for i, j, count in zip(
+            graph.lo.tolist(), graph.hi.tolist(), graph.counts.tolist()
+        ):
             ci, cj = int(world.clusters[i]), int(world.clusters[j])
             linked = (ci, cj) in world.rule or (cj, ci) in world.rule
             (signal if linked else noise).append(count)
@@ -330,7 +336,9 @@ class TestDatasetFiles:
         def by_terms(graph):
             return {
                 tuple(sorted((graph.vocab.term_of(i), graph.vocab.term_of(j)))): c
-                for (i, j), c in graph.edges.items()
+                for i, j, c in zip(
+                    graph.lo.tolist(), graph.hi.tolist(), graph.counts.tolist()
+                )
             }
 
         assert by_terms(reloaded) == by_terms(world.graph)

@@ -2,10 +2,16 @@
 
 import gzip
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relrec.graph as graph_module
 from relrec.graph import (
     CoocGraph,
     GraphFormatError,
@@ -15,7 +21,6 @@ from relrec.graph import (
     compute_ppmi,
     dump_cooc_graph,
     edit_distance,
-    empirical_context_dist,
     load_cooc_graph,
 )
 
@@ -131,6 +136,7 @@ class TestLoader:
             "\tb\t1",  # empty term
             "a\tb\t\u00b2",  # superscript two: a digit to str.isdigit, not to int
             "a\tb\t\u0663",  # Arabic-Indic three: non-ASCII digit
+            "a\tb\t9223372036854775808",  # 2**63: past int64
         ],
     )
     def test_malformed_lines_raise_with_location(self, tmp_path, line):
@@ -141,6 +147,24 @@ class TestLoader:
         message = str(exc_info.value)
         assert "edges.tsv" in message
         assert "line 2" in message
+        # The same line past the first 1 MB chunk of regular lines gets
+        # the same message with its own line number.
+        n_good = 1 + (1 << 20) // len("good\tpair\t1\n")
+        path.write_text("good\tpair\t1\n" * n_good + line + "\n")
+        with pytest.raises(GraphFormatError) as exc_info:
+            load_cooc_graph(str(path))
+        assert str(exc_info.value) == message.replace(
+            "line 2:", f"line {n_good + 1}:"
+        )
+
+    def test_summed_count_past_int64_is_format_error(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        half = 2**62
+        path.write_text(f"a\tb\t{half}\nb\ta\t{half}\n")
+        with pytest.raises(GraphFormatError, match="edges.tsv.*64 bits"):
+            load_cooc_graph(str(path))
+        path.write_text(f"a\tb\t{half}\nb\ta\t{half - 1}\n")
+        assert load_cooc_graph(str(path)).count(0, 1) == 2**63 - 1
 
     def test_dump_round_trip_preserves_ppmi_bitwise(self, tmp_path):
         vocab = Vocab(["n0", "n1", "n2", "n3"])
@@ -222,18 +246,140 @@ class TestPpmi:
         assert ppmi.entities_with_support().tolist() == [0, 1]
 
 
-class TestEmpiricalDist:
-    def test_probabilities_normalize(self):
-        ppmi = compute_ppmi(triangle_graph())
-        dist = empirical_context_dist(ppmi, 0)
-        assert not dist.is_empty
-        assert dist.neighbor_ids.tolist() == [1, 2]
-        assert abs(dist.probs.sum() - 1.0) <= 1e-12
-        # Equal PPMI values split the mass evenly.
-        assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-15)
+def oracle_load(path):
+    """The per-line loader the array store replaced: vocabulary terms,
+    {(i, j): count} with i < j, float marginals, total, self loops."""
+    terms, index, edges, dropped = [], {}, {}, 0
 
-    def test_isolated_entity_is_empty(self):
-        vocab = Vocab(["a", "b", "c"])
-        graph = CoocGraph.from_counts(vocab, {(0, 1): 2})
+    def add(term):
+        if term not in index:
+            index[term] = len(terms)
+            terms.append(term)
+        return index[term]
+
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            term_a, term_b, count_str = line.split("\t")
+            a, b = add(term_a), add(term_b)
+            if a == b:
+                dropped += 1
+                continue
+            key = (a, b) if a < b else (b, a)
+            edges[key] = edges.get(key, 0) + int(count_str)
+    marginals = np.zeros(len(terms), dtype=np.float64)
+    for (i, j), c in edges.items():
+        marginals[i] += c
+        marginals[j] += c
+    return terms, edges, marginals, float(marginals.sum()), dropped
+
+
+def oracle_ppmi(edges, marginals, total):
+    """Per-edge math.log into per-row lists, each row sorted by id."""
+    rows = [[] for _ in marginals]
+    for (i, j), c in edges.items():
+        pmi = math.log(c * total / (marginals[i] * marginals[j]))
+        if pmi > 0.0:
+            rows[i].append((j, pmi))
+            rows[j].append((i, pmi))
+    return [sorted(row) for row in rows]
+
+
+# Terms from a small pool, so pairs repeat in both orientations; the
+# pool holds non-ASCII letters, a space and U+2028, which str.splitlines
+# would treat as a line break but the TSV format does not.
+TERMS = st.text(alphabet="ab\u00e9\u65e5 \u2028", min_size=1, max_size=2)
+# Each row is an edge line (counts sometimes zero-padded) or blank.
+ROWS = st.lists(
+    st.one_of(
+        st.builds(
+            lambda a, b, count, zeros: f"{a}\t{b}\t{'0' * zeros}{count}",
+            TERMS, TERMS, st.integers(1, 2**40), st.integers(0, 2),
+        ),
+        st.just(""),
+    ),
+    max_size=40,
+)
+
+
+class TestArrayStoreEquivalence:
+    """The array store against the per-line, per-edge oracle above."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=ROWS,
+        newline=st.sampled_from(["\n", "\r\n"]),
+        final_newline=st.booleans(),
+        gz=st.booleans(),
+        chunk_chars=st.sampled_from([1 << 20, 1, 23, 64]),
+    )
+    def test_matches_oracle(self, rows, newline, final_newline, gz, chunk_chars):
+        text = newline.join(rows) + (newline if final_newline and rows else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edges.tsv" + (".gz" if gz else ""))
+            opener = gzip.open if gz else open
+            with opener(path, "wt", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            terms, edges, marginals, total, dropped = oracle_load(path)
+            with mock.patch.object(graph_module, "_CHUNK_CHARS", chunk_chars):
+                graph = load_cooc_graph(path)
+
+        assert graph.vocab.terms == terms
+        expected = [(i, j, edges[i, j]) for i, j in sorted(edges)]
+        assert np.array_equal(
+            np.stack([graph.lo, graph.hi, graph.counts], axis=1),
+            np.array(expected, dtype=np.int64).reshape(-1, 3),
+        )
+        assert graph.lo.dtype == graph.hi.dtype == graph.counts.dtype == np.int64
+        assert graph.marginals.dtype == np.float64
+        assert graph.marginals.tobytes() == marginals.tobytes()
+        assert graph.total == total
+        assert graph.self_loops_dropped == dropped
+        if not edges:
+            return
         ppmi = compute_ppmi(graph)
-        assert empirical_context_dist(ppmi, 2).is_empty
+        for i, expected in enumerate(oracle_ppmi(edges, marginals, total)):
+            ids, vals = ppmi.row(i)
+            assert ids.tolist() == [j for j, _ in expected]
+            assert vals.tobytes() == np.array(
+                [v for _, v in expected], dtype=np.float64
+            ).tobytes()
+        assert ppmi.entities_with_support().tolist() == [
+            i for i in range(len(terms)) if ppmi.row(i)[0].size
+        ]
+
+    def test_regular_chunk_is_split_whole(self):
+        tokens, counts = graph_module._split_chunk("a\tb\t3\nb\t\u65e5\t0012\n")
+        assert tokens == ["a", "b", "b", "\u65e5"]
+        assert counts.tolist() == [3, 12]
+        assert counts.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a\tb\t3\n\n",  # blank line
+            "a\tb\t3\textra\nc\t4\n",  # four and two fields: six in all
+            "a\tb\t0\n",  # zero count
+            "a\tb\t\u00b2\n",  # non-ASCII digit
+            "a\tb\t1234567890123456789\n",  # 19 digits: may pass int64
+        ],
+    )
+    def test_irregular_chunk_goes_line_by_line(self, text):
+        assert graph_module._split_chunk(text) is None
+
+    def test_from_counts_sorts_edges_and_dump_follows_them(self, tmp_path):
+        vocab = Vocab(["x", "y", "z"])
+        graph = CoocGraph.from_counts(vocab, {(1, 2): 4, (0, 2): 1, (0, 1): 3})
+        assert graph.lo.tolist() == [0, 0, 1]
+        assert graph.hi.tolist() == [1, 2, 2]
+        assert graph.counts.tolist() == [3, 1, 4]
+        path = tmp_path / "dump.tsv"
+        dump_cooc_graph(graph, str(path))
+        assert path.read_text() == "x\ty\t3\nx\tz\t1\ny\tz\t4\n"
+
+    def test_from_counts_rejects_unordered_key(self):
+        with pytest.raises(ValueError, match="i < j"):
+            CoocGraph.from_counts(Vocab(["a", "b"]), {(1, 0): 2})

@@ -6,6 +6,7 @@ import csv
 import numpy as np
 import pytest
 
+from relrec import training
 from relrec.evaluation import generate_synthetic, split_dataset
 from relrec.graph import CoocGraph, Vocab, compute_ppmi
 from relrec.params import ModelDims, init_params
@@ -124,6 +125,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
     def test_to_dict_contains_resolved_values(self):
         d = TrainConfig(d=8, n_assoc=4).to_dict()
         assert d["d_p"] == 8
@@ -166,14 +172,17 @@ class TestJointTrain:
             i for i, f1 in enumerate(f1s, start=1) if f1 == result.best_dev_f1
         )
 
-    def test_early_stop_counts_epochs_without_strict_improvement(self, tiny_world):
+    def test_early_stop_counts_epochs_without_strict_improvement(
+        self, tiny_world, monkeypatch
+    ):
         world, ppmi, train, dev = tiny_world
-        # lr 0 freezes the parameters, so the dev F1 never strictly
-        # improves after the first epoch and training stops after
-        # exactly `patience` further epochs.
+        # Without Adam steps the parameters stay frozen, so the dev F1
+        # never strictly improves after the first epoch and training
+        # stops after exactly `patience` further epochs.
+        monkeypatch.setattr(training, "adam_step", lambda params, grads, state: None)
         result = joint_train(
             world.graph, ppmi, world.triples, train, dev,
-            tiny_config(max_epochs=50, lr=0.0, patience=3), world.schema,
+            tiny_config(max_epochs=50, patience=3), world.schema,
         )
         assert result.epochs_run == 4
         assert result.best_epoch == 4
