@@ -175,13 +175,12 @@ class CoocGraph:
         orientation are summed with integer adds."""
         n = len(vocab)
         keys = np.minimum(a, b) * n + np.maximum(a, b)
-        if not np.all(keys[1:] > keys[:-1]):  # else sorted and unique already
-            order = np.argsort(keys)
-            keys, counts = keys[order], counts[order]
-            del order
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            _check_merged_counts_fit(counts, starts)
-            keys, counts = keys[starts], np.add.reduceat(counts, starts)
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order]
+        del order
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+        _check_merged_counts_fit(counts, starts)
+        keys, counts = keys[starts], np.add.reduceat(counts, starts)
         lo, hi = np.divmod(keys, n)
         weights = counts.astype(np.float64)
         marginals = np.zeros(n)
@@ -238,28 +237,24 @@ def _split_chunk(text: str) -> tuple[list[str], np.ndarray] | None:
         return None
     first, second = tabs[0::2], tabs[1::2]
     starts = np.concatenate(([-1], ends[:-1]))
-    # Tabs 2k and 2k+1 inside line k with a non-empty field on each side.
+    # Tabs 2k and 2k+1 inside line k with a non-empty field on each side,
+    # and counts of at most 18 bytes, so that they fit in int64.
     if not (
         np.all(first > starts + 1)
         and np.all(second > first + 1)
         and np.all(ends > second + 1)
+        and np.all(ends - second <= 19)
     ):
-        return None
-    # Counts are parsed from the bytes: each field, right-aligned in a
-    # window as wide as the longest, with the bytes left of it read as 0.
-    width = int((ends - second).max()) - 1
-    if width > 18:  # may not fit in int64
-        return None
-    window = np.maximum(ends[:, None] - width + np.arange(width), 0)
-    digits = raw[window] - np.uint8(48)  # ASCII '0'; other bytes wrap past 9
-    digits[window <= second[:, None]] = 0
-    if not np.all(digits <= 9):
-        return None
-    counts = digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1)
-    if not np.all(counts > 0):
         return None
     tokens = text.replace("\n", "\t").split("\t")
     tokens.pop()
+    count_strs = tokens[2::3]
+    digits = "".join(count_strs)
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    counts = np.fromiter(map(int, count_strs), np.int64, len(count_strs))
+    if not np.all(counts > 0):
+        return None
     del tokens[2::3]
     return tokens, counts
 
