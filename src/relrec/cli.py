@@ -152,6 +152,13 @@ def _relation_names_in_tsv(path: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _relation_index(schema: RelationSchema, name: str) -> int:
+    try:
+        return schema.index_of(name)
+    except KeyError as exc:
+        raise DataError(exc.args[0]) from None
+
+
 def _parse_ratios(text: str) -> tuple[float, float, float]:
     try:
         parts = tuple(float(x) for x in text.split(","))
@@ -209,7 +216,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     all_pairs = load_pairs_tsv(cfg["pairs"], graph.vocab, schema)
 
     if cfg["relation"] is not None:
-        target = schema.index_of(cfg["relation"])
+        target = _relation_index(schema, cfg["relation"])
     else:
         relations = sorted({p.relation for p in all_pairs})
         if len(relations) != 1:
@@ -305,19 +312,47 @@ def _predict_many(
     return np.array([prob(p) for p in pairs], dtype=np.float64)
 
 
-def _include_na(meta: dict) -> bool:
-    """Whether the checkpoint's model was trained with the NA row in the
-    posterior normalizer; checkpoints that predate the field used it."""
-    return meta["train"].get("include_na", True)
+def _load_model(path: str):
+    """A checkpoint and what serving takes from its config: (checkpoint,
+    schema, target relation id, n_head, n_tail, include_na).  Checkpoints
+    that predate `include_na` were trained with the NA row in the
+    posterior normalizer."""
+    checkpoint = load_checkpoint(path)
+
+    def field(table: dict, name: str, kind: type):
+        value = table.get(name)
+        if not _matches_type(value, kind) or kind is int and value < 1:
+            raise CheckpointError(
+                f"{path}: checkpoint config field {name!r} is missing or "
+                f"invalid: {value!r}"
+            )
+        return value
+
+    meta = checkpoint.config
+    train = field(meta, "train", dict)
+    try:
+        schema = RelationSchema(names=tuple(field(meta, "relations", list)))
+    except (TypeError, ValueError) as exc:  # duplicate, reserved or unhashable
+        raise CheckpointError(
+            f"{path}: checkpoint config field 'relations': {exc}"
+        ) from None
+    return (
+        checkpoint,
+        schema,
+        _relation_index(schema, field(meta, "target_relation", str)),
+        field(train, "n_assoc_head", int),
+        field(train, "n_assoc_tail", int),
+        train.get("include_na", True),
+    )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, EVALUATE_DEFAULTS)
     _require(cfg, "model", "pairs")
-    checkpoint = load_checkpoint(cfg["model"])
-    meta = checkpoint.config
-    schema = RelationSchema(names=tuple(meta["relations"]))
-    target = schema.index_of(meta["target_relation"])
+    checkpoint, schema, target, n_head, n_tail, include_na = _load_model(
+        cfg["model"]
+    )
+    target_name = schema.names[target]
     pairs = [
         p
         for p in load_pairs_tsv(cfg["pairs"], checkpoint.vocab, schema)
@@ -326,12 +361,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not pairs:
         raise DataError(
             f"no pairs for the model's target relation "
-            f"{meta['target_relation']!r} in {cfg['pairs']}"
+            f"{target_name!r} in {cfg['pairs']}"
         )
-    n_head = meta["train"]["n_assoc_head"]
-    n_tail = meta["train"]["n_assoc_tail"]
     probs = _predict_many(
-        checkpoint.params, pairs, n_head, n_tail, cfg["threads"], _include_na(meta)
+        checkpoint.params, pairs, n_head, n_tail, cfg["threads"], include_na
     )
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     precision, recall, f1 = f1_score(probs, labels, threshold=cfg["threshold"])
@@ -346,7 +379,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "relation": meta["target_relation"],
+                "relation": target_name,
                 "n_pairs": len(pairs),
                 "threshold": cfg["threshold"],
                 "precision": precision,
@@ -357,7 +390,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     print(f"{'relation':<20} {'precision':>9} {'recall':>9} {'F1':>9} {'n':>6}")
     print(
-        f"{meta['target_relation']:<20} {precision:>9.3f} {recall:>9.3f} "
+        f"{target_name:<20} {precision:>9.3f} {recall:>9.3f} "
         f"{f1:>9.3f} {len(pairs):>6}"
     )
     return EXIT_OK
@@ -382,14 +415,12 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode must be owa or cwa, got {cfg['mode']!r}")
     if cfg["topk"] < 1:
         raise UsageError(f"--topk must be >= 1, got {cfg['topk']}")
-    checkpoint = load_checkpoint(cfg["model"])
-    meta = checkpoint.config
-    schema = RelationSchema(names=tuple(meta["relations"]))
-    relation_name = cfg["relation"] or meta["target_relation"]
-    try:
-        relation = schema.index_of(relation_name)
-    except KeyError as exc:
-        raise DataError(str(exc)) from None
+    checkpoint, schema, target, n_head, n_tail, include_na = _load_model(
+        cfg["model"]
+    )
+    relation = target
+    if cfg["relation"]:
+        relation = _relation_index(schema, cfg["relation"])
     head = checkpoint.vocab.id_of(cfg["head"])
     tail = checkpoint.vocab.id_of(cfg["tail"])
     kb = None
@@ -404,12 +435,12 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         head,
         tail,
         relation,
-        n_head=meta["train"]["n_assoc_head"],
-        n_tail=meta["train"]["n_assoc_tail"],
+        n_head=n_head,
+        n_tail=n_tail,
         top_k=cfg["topk"],
         mode=mode,
         kb=kb,
-        include_na=_include_na(meta),
+        include_na=include_na,
     )
     print(report.to_json_line())
     print(report.format_table())
@@ -536,7 +567,6 @@ def main(argv: list[str] | None = None) -> int:
         GraphFormatError,
         CheckpointError,
         FileNotFoundError,
-        KeyError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -344,17 +344,9 @@ def generate_synthetic(
     noise_edges = ~linked & (draws < noise)
     counts: dict[tuple[int, int], int] = {}
     signal_counts = 3 + rng.poisson(signal_count_mean, size=int(signal_edges.sum()))
-    for (i, j), c in zip(
-        zip(iu[signal_edges].tolist(), ju[signal_edges].tolist()),
-        signal_counts.tolist(),
-    ):
-        counts[(i, j)] = int(c)
     noise_counts = 1 + rng.poisson(noise_count_mean, size=int(noise_edges.sum()))
-    for (i, j), c in zip(
-        zip(iu[noise_edges].tolist(), ju[noise_edges].tolist()),
-        noise_counts.tolist(),
-    ):
-        counts[(i, j)] = int(c)
+    for edges, drawn in ((signal_edges, signal_counts), (noise_edges, noise_counts)):
+        counts.update(zip(zip(iu[edges].tolist(), ju[edges].tolist()), drawn.tolist()))
     if not counts:
         raise DataError("generated graph has no edges; raise density or noise")
     graph = CoocGraph.from_counts(vocab, counts)

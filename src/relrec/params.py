@@ -31,6 +31,8 @@ TENSOR_ORDER = (
     "out_weight",
     "out_bias",
 )
+# Adam hyperparameters a checkpoint header stores beside the step counts.
+_ADAM_SETTINGS = ("lr", "beta1", "beta2", "eps")
 
 
 class CheckpointError(ValueError):
@@ -222,10 +224,7 @@ class AdamState:
 
     def copy(self) -> "AdamState":
         return AdamState(
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
+            **{name: getattr(self, name) for name in _ADAM_SETTINGS},
             m={k: a.copy() for k, a in self.m.items()},
             v={k: a.copy() for k, a in self.v.items()},
             steps=dict(self.steps),
@@ -309,13 +308,8 @@ def save_checkpoint(
         blocks.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
     optimizer = None
     if state is not None:
-        optimizer = {
-            "lr": state.lr,
-            "beta1": state.beta1,
-            "beta2": state.beta2,
-            "eps": state.eps,
-            "steps": {name: state.steps[name] for name in TENSOR_ORDER},
-        }
+        optimizer = {name: getattr(state, name) for name in _ADAM_SETTINGS}
+        optimizer["steps"] = {name: state.steps[name] for name in TENSOR_ORDER}
         for moment in (state.m, state.v):
             for name in TENSOR_ORDER:
                 blocks.append(
@@ -340,6 +334,36 @@ def save_checkpoint(
         fh.write(payload)
 
 
+def _is_count(value, least: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_header(path: str, header: dict) -> None:
+    """Raise CheckpointError naming the first header field that cannot
+    describe a checkpoint; payload_sha256 does not cover the header."""
+    checks = {
+        "dims": lambda v: isinstance(v, dict)
+        and set(v) == {"d", "d_p", "d_a", "n_rel"}
+        and all(map(_is_count, v.values())),
+        "dtype": lambda v: v in ("float64", "float32"),
+        "vocab": lambda v: isinstance(v, list)
+        and all(isinstance(term, str) for term in v)
+        and len(set(v)) == len(v),
+        "vocab_size": lambda v: _is_count(v) and v == len(header["vocab"]),
+        "config": lambda v: isinstance(v, dict),
+        "optimizer": lambda v: v is None
+        or isinstance(v, dict)
+        and all(isinstance(v.get(k), (int, float)) for k in _ADAM_SETTINGS)
+        and isinstance(v.get("steps"), dict)
+        and all(_is_count(v["steps"].get(name), 0) for name in TENSOR_ORDER),
+    }
+    for name, valid in checks.items():
+        if not valid(header.get(name)):
+            raise CheckpointError(
+                f"{path}: invalid header field {name!r}: {header.get(name)!r:.80}"
+            )
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -360,15 +384,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     payload = data[newline + 1 :]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch (corrupted file)")
+    _check_header(path, header)
     dims = ModelDims(**header["dims"])
     vocab = Vocab(header["vocab"])
-    if vocab.sha256() != header["vocab_sha256"]:
+    if vocab.sha256() != header.get("vocab_sha256"):
         raise CheckpointError(f"{path}: vocabulary checksum mismatch")
     dtype = np.dtype(header["dtype"])
     shapes = expected_shapes(dims, header["vocab_size"])
-    declared = {name: tuple(shape) for name, shape in header["tensors"]}
-    if declared != shapes:
-        raise CheckpointError(f"{path}: tensor declaration does not match dims")
+    if header.get("tensors") != [[name, list(s)] for name, s in shapes.items()]:
+        raise CheckpointError(f"{path}: header field 'tensors' does not match dims")
 
     offset = 0
 
@@ -390,10 +414,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         m = {name: take(shapes[name]) for name in TENSOR_ORDER}
         v = {name: take(shapes[name]) for name in TENSOR_ORDER}
         state = AdamState(
-            lr=opt["lr"],
-            beta1=opt["beta1"],
-            beta2=opt["beta2"],
-            eps=opt["eps"],
+            **{name: opt[name] for name in _ADAM_SETTINGS},
             m=m,
             v=v,
             steps={name: int(opt["steps"][name]) for name in TENSOR_ORDER},

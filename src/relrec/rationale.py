@@ -41,7 +41,12 @@ from .graph import Vocab
 from .numerics import sigmoid, stable_softmax
 from .params import ModelParams
 from .recall import AssociationList, top_associations
-from .relational import RelationPosterior, RelationSchema, TripleSet
+from .relational import (
+    RelationPosterior,
+    RelationSchema,
+    TripleSet,
+    _posterior_grid,
+)
 
 OWA_MODE = "OWA"
 CWA_MODE = "CWA"
@@ -49,12 +54,9 @@ CWA_MODE = "CWA"
 
 @dataclass
 class PredictionStructure:
-    """Discrete choices of one forward pass: which associations were
-    recalled, which cross pairs were formed, and which relations survived
-    the NA threshold for each pair."""
+    """Discrete choices of one forward pass: which association pairs were
+    formed, and which relations survived the NA threshold for each pair."""
 
-    head_assoc: AssociationList
-    tail_assoc: AssociationList
     pair_heads: np.ndarray  # (P,) entity ids
     pair_tails: np.ndarray  # (P,)
     survivors: np.ndarray | None = None  # (P, n_rel) bool; None: not chosen yet
@@ -69,10 +71,8 @@ class PredictionTrace:
     posterior: np.ndarray  # (P, n_rel), exactly zero off-survivors
     na_mass: np.ndarray  # (P,)
     assum_vecs: np.ndarray  # (P, d)
-    unique_heads: np.ndarray  # (U_h,) distinct pair heads
-    head_inverse: np.ndarray  # (P,) index of each pair head in unique_heads
-    unique_tails: np.ndarray  # (U_t,)
-    tail_inverse: np.ndarray  # (P,)
+    heads: tuple  # (U_h,) distinct pair heads, (P,) each pair's index into them
+    tails: tuple  # the same for the pair tails
     pair_reprs: np.ndarray  # (P, d_p)
     attn_hidden: np.ndarray  # (P, d_a) tanh of attention hidden layer
     attn_logits: np.ndarray  # (P,)
@@ -174,71 +174,51 @@ class RationaleReport:
 
 
 def assumption_vector(posterior_probs: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Posterior-weighted mix of forward relation embeddings.  An empty
-    survivor set yields the zero vector."""
+    """Posterior-weighted mix of forward relation embeddings, for one
+    posterior or one per row.  An empty survivor set yields the zero
+    vector."""
     n_rel = params.dims.n_rel
     return np.asarray(posterior_probs) @ params.relation_emb[:n_rel]
+
+
+def _pair_projection(
+    params: ModelParams, heads: tuple, tails: tuple, assum_block: np.ndarray
+) -> np.ndarray:
+    """tanh([E[h]; E[t]; a] @ W + b) per pair.  `heads` and `tails` are
+    (distinct ids, each pair's index into them), so each distinct entity
+    is projected once; `assum_block` holds each pair's a @ W_a."""
+    d, weight = params.dims.d, params.pair_weight
+    pre = (params.entity_emb[heads[0]] @ weight[:d])[heads[1]]
+    pre += (params.entity_emb[tails[0]] @ weight[d : 2 * d])[tails[1]]
+    pre += assum_block
+    pre += params.pair_bias
+    return np.tanh(pre, out=pre)
 
 
 def pair_representation(
     params: ModelParams, assoc_head: int, assoc_tail: int, assum_vec: np.ndarray
 ) -> np.ndarray:
-    """tanh of the projected concatenation [head emb; tail emb; assumption]."""
-    x = np.concatenate(
-        [params.entity_emb[assoc_head], params.entity_emb[assoc_tail], assum_vec]
-    )
-    return np.tanh(x @ params.pair_weight + params.pair_bias)
+    """tanh of the projected concatenation [head emb; tail emb; assumption]
+    for one pair: one row of `_pair_projection`."""
+    assum_block = np.asarray(assum_vec) @ params.pair_weight[2 * params.dims.d :]
+    return _pair_projection(
+        params, ([assoc_head], [0]), ([assoc_tail], [0]), assum_block
+    )[0]
+
+
+def _attention(
+    params: ModelParams, pair_reprs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attention hidden layer tanh(W e + b), logits v . hidden and their
+    softmax over the pairs."""
+    hidden = np.tanh(pair_reprs @ params.attn_weight.T + params.attn_bias)
+    logits = hidden @ params.attn_vector
+    return hidden, logits, stable_softmax(logits)
 
 
 def attention_weights(params: ModelParams, pair_reprs: np.ndarray) -> np.ndarray:
     """Softmax over per-pair attention logits v . tanh(W e + b)."""
-    hidden = np.tanh(pair_reprs @ params.attn_weight.T + params.attn_bias)
-    return stable_softmax(hidden @ params.attn_vector)
-
-
-def _posterior_grid(
-    params: ModelParams,
-    unique_heads: np.ndarray,
-    head_inverse: np.ndarray,
-    pair_tails: np.ndarray,
-    frozen_survivors: np.ndarray | None,
-    include_na: bool,
-):
-    """Vectorized thresholded softmax over all pairs at once; the pair
-    heads are `unique_heads[head_inverse]`."""
-    dims = params.dims
-    rows = np.concatenate([np.arange(dims.n_rel), [dims.na_index]])
-    # head + relation once per distinct head, then minus each pair's tail.
-    residuals = (
-        params.entity_emb[unique_heads][:, None, :]
-        + params.relation_emb[rows][None, :, :]
-    )[head_inverse]
-    residuals -= params.entity_emb[pair_tails][:, None, :]  # (P, n_rel + 1, d)
-    all_scores = -np.abs(residuals).sum(axis=2)
-    scores = all_scores[:, : dims.n_rel]
-    na_scores = all_scores[:, dims.n_rel]
-    if frozen_survivors is not None:
-        survivors = frozen_survivors
-    else:
-        survivors = scores > na_scores[:, None]
-    masked = np.where(survivors, scores, -np.inf)
-    if include_na:
-        m = np.maximum(na_scores, masked.max(axis=1, initial=-np.inf))
-        exp_fwd = np.exp(masked - m[:, None])
-        exp_na = np.exp(na_scores - m)
-        z = exp_na + exp_fwd.sum(axis=1)
-        posterior = exp_fwd / z[:, None]
-        na_mass = exp_na / z
-    else:
-        m = masked.max(axis=1, initial=-np.inf)
-        has_surv = np.isfinite(m)
-        m = np.where(has_surv, m, 0.0)
-        exp_fwd = np.exp(masked - m[:, None])
-        z = exp_fwd.sum(axis=1)
-        z_safe = np.where(z > 0, z, 1.0)
-        posterior = exp_fwd / z_safe[:, None]
-        na_mass = np.zeros_like(z)
-    return scores, na_scores, residuals, survivors, posterior, na_mass
+    return _attention(params, pair_reprs)[2]
 
 
 def _cross_pairs(
@@ -264,60 +244,45 @@ def prediction_forward(
     n_head: int,
     n_tail: int,
     *,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
     structure: PredictionStructure | None = None,
     include_na: bool = True,
 ) -> PredictionTrace:
     """Full pipeline forward pass for one query pair.
 
     By default the pair set is the full cross product of the top n_head
-    and top n_tail associations; `pairs` restricts it to an explicit
-    (heads, tails) id list.  Passing a `structure` from an earlier trace
-    reuses its association lists, pair set, and survivor sets, which
-    makes the loss a smooth function of the parameters; a structure
-    whose `survivors` is None fixes only the association lists and the
-    pair set, and this pass selects the survivors.
+    and top n_tail associations.  Passing a `structure` from an earlier
+    trace reuses its pair set and survivor sets, which makes the loss a
+    smooth function of the parameters; a structure whose `survivors` is
+    None fixes only the pair set, for example an explicit pair list, and
+    this pass selects the survivors.
     """
     if structure is None:
-        head_assoc = top_associations(params, head, n_head)
-        tail_assoc = top_associations(params, tail, n_tail)
-        if pairs is None:
-            pair_heads, pair_tails = _cross_pairs(head_assoc, tail_assoc)
-        else:
-            pair_heads = np.asarray(pairs[0], dtype=np.int64)
-            pair_tails = np.asarray(pairs[1], dtype=np.int64)
         structure = PredictionStructure(
-            head_assoc=head_assoc,
-            tail_assoc=tail_assoc,
-            pair_heads=pair_heads,
-            pair_tails=pair_tails,
+            *_cross_pairs(
+                top_associations(params, head, n_head),
+                top_associations(params, tail, n_tail),
+            )
         )
     pair_heads = structure.pair_heads
     pair_tails = structure.pair_tails
     if len(pair_heads) == 0:
         raise ValueError("prediction needs at least one association pair")
 
-    unique_heads, head_inverse = np.unique(pair_heads, return_inverse=True)
-    unique_tails, tail_inverse = np.unique(pair_tails, return_inverse=True)
+    heads = np.unique(pair_heads, return_inverse=True)
+    tails = np.unique(pair_tails, return_inverse=True)
     scores, na_scores, residuals, survivors, posterior, na_mass = _posterior_grid(
-        params, unique_heads, head_inverse, pair_tails, structure.survivors,
-        include_na,
+        params, heads, pair_tails, structure.survivors, include_na
     )
     if structure.survivors is None:
         structure = replace(structure, survivors=survivors)
     d, n_rel = params.dims.d, params.dims.n_rel
-    rel_fwd = params.relation_emb[:n_rel]
-    weight = params.pair_weight
-    assum_vecs = posterior @ rel_fwd
-    # [E[h]; E[t]; a] @ W, projected per distinct entity and gathered per pair.
-    pre = (params.entity_emb[unique_heads] @ weight[:d])[head_inverse]
-    pre += (params.entity_emb[unique_tails] @ weight[d : 2 * d])[tail_inverse]
-    pre += posterior @ (rel_fwd @ weight[2 * d :])
-    pre += params.pair_bias
-    pair_reprs = np.tanh(pre, out=pre)
-    attn_hidden = np.tanh(pair_reprs @ params.attn_weight.T + params.attn_bias)
-    attn_logits = attn_hidden @ params.attn_vector
-    attn = stable_softmax(attn_logits)
+    assum_vecs = assumption_vector(posterior, params)
+    # The assumption block a @ W_a is posterior @ (R @ W_a), of rank n_rel.
+    w_assum = params.pair_weight[2 * d :]
+    pair_reprs = _pair_projection(
+        params, heads, tails, posterior @ (params.relation_emb[:n_rel] @ w_assum)
+    )
+    attn_hidden, attn_logits, attn = _attention(params, pair_reprs)
     pooled = attn @ pair_reprs
     logit = float(params.out_weight @ pooled + params.out_bias)
     probability = float(sigmoid(logit))
@@ -329,10 +294,8 @@ def prediction_forward(
         posterior=posterior,
         na_mass=na_mass,
         assum_vecs=assum_vecs,
-        unique_heads=unique_heads,
-        head_inverse=head_inverse,
-        unique_tails=unique_tails,
-        tail_inverse=tail_inverse,
+        heads=heads,
+        tails=tails,
         pair_reprs=pair_reprs,
         attn_hidden=attn_hidden,
         attn_logits=attn_logits,
@@ -412,13 +375,9 @@ def prediction_backward(
     grads["relation_emb"][dims.na_index] += rel_rows_grad[n_rel]
 
     # Each distinct association entity gets its pairs' gradient once.
-    heads, tails = trace.unique_heads, trace.unique_tails
-    d_pre_head, sign_head = _row_sums(
-        trace.head_inverse, len(heads), d_pre, pair_sign_sum
-    )
-    d_pre_tail, sign_tail = _row_sums(
-        trace.tail_inverse, len(tails), d_pre, pair_sign_sum
-    )
+    (heads, head_inverse), (tails, tail_inverse) = trace.heads, trace.tails
+    d_pre_head, sign_head = _row_sums(head_inverse, len(heads), d_pre, pair_sign_sum)
+    d_pre_tail, sign_tail = _row_sums(tail_inverse, len(tails), d_pre, pair_sign_sum)
     entity_emb = params.entity_emb
     grads["pair_weight"] = np.concatenate(
         [
@@ -644,12 +603,7 @@ def rationalize_pair(
         tail,
         n_head,
         n_tail,
-        structure=PredictionStructure(
-            head_assoc=head_assoc,
-            tail_assoc=tail_assoc,
-            pair_heads=pair_heads,
-            pair_tails=pair_tails,
-        ),
+        structure=PredictionStructure(pair_heads, pair_tails),
         include_na=include_na,
     )
     candidates = []

@@ -211,31 +211,72 @@ class RelationPosterior:
         return k, float(self.probs[k])
 
 
+def _thresholded_softmax(
+    scores: np.ndarray,
+    na_scores: np.ndarray,
+    survivors: np.ndarray | None,
+    include_na: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(survivors, posterior, na_mass) of (P, n_rel) forward scores and
+    (P,) NA scores.  Survivors, unless given, are the relations scoring
+    strictly above their NA score; the posterior is exactly zero off
+    them."""
+    if survivors is None:
+        survivors = scores > na_scores[:, None]
+    masked = np.where(survivors, scores, -np.inf)
+    m = masked.max(axis=1, initial=-np.inf)
+    if include_na:
+        m = np.maximum(na_scores, m)
+        exp_na = np.exp(na_scores - m)
+    else:
+        m[np.isneginf(m)] = 0.0  # rows without survivors
+        exp_na = np.zeros_like(m)
+    exp_fwd = np.exp(masked - m[:, None])
+    z = exp_na + exp_fwd.sum(axis=1)
+    if not include_na:
+        z[z == 0] = 1.0  # rows without survivors
+    return survivors, exp_fwd / z[:, None], exp_na / z
+
+
+def _posterior_grid(
+    params: ModelParams,
+    heads: tuple,
+    pair_tails: np.ndarray,
+    frozen_survivors: np.ndarray | None,
+    include_na: bool,
+):
+    """L1 translation scores of all pairs over the forward rows and the NA
+    row, and their thresholded softmax.  `heads` is (distinct pair heads,
+    each pair's index into them)."""
+    unique_heads, head_inverse = heads
+    dims = params.dims
+    rows = np.concatenate([np.arange(dims.n_rel), [dims.na_index]])
+    # head + relation once per distinct head, then minus each pair's tail.
+    residuals = (
+        params.entity_emb[unique_heads][:, None, :]
+        + params.relation_emb[rows][None, :, :]
+    )[head_inverse]
+    residuals -= params.entity_emb[pair_tails][:, None, :]  # (P, n_rel + 1, d)
+    all_scores = -np.abs(residuals).sum(axis=2)
+    scores = all_scores[:, : dims.n_rel]
+    na_scores = all_scores[:, dims.n_rel]
+    survivors, posterior, na_mass = _thresholded_softmax(
+        scores, na_scores, frozen_survivors, include_na
+    )
+    return scores, na_scores, residuals, survivors, posterior, na_mass
+
+
 def posterior_from_scores(
     scores: np.ndarray, na_score: float, include_na: bool = True
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Thresholded softmax over forward-relation scores.
-
-    Exactly the relations with scores[k] > na_score survive; the rest get
-    probability exactly 0.0.  Survivor scores (and, by default, the NA
-    score) are exponentiated with max subtraction and normalized.
-    Returns (probs, na_mass, survivor_indices).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    survivors = np.flatnonzero(scores > na_score)
-    probs = np.zeros_like(scores)
-    if len(survivors) == 0:
-        return probs, (1.0 if include_na else 0.0), survivors
-    m = max(float(scores[survivors].max()), na_score if include_na else -np.inf)
-    exp_surv = np.exp(scores[survivors] - m)
-    z = exp_surv.sum()
-    na_mass = 0.0
-    if include_na:
-        na_exp = np.exp(na_score - m)
-        z += na_exp
-        na_mass = float(na_exp / z)
-    probs[survivors] = exp_surv / z
-    return probs, na_mass, survivors
+    """Thresholded softmax over forward-relation scores, one row of
+    `_thresholded_softmax`: exactly the relations with scores[k] >
+    na_score survive.  Returns (probs, na_mass, survivor_indices)."""
+    survivors, probs, na_mass = _thresholded_softmax(
+        np.asarray(scores, dtype=np.float64)[None], np.array([float(na_score)]),
+        None, include_na,
+    )
+    return probs[0], float(na_mass[0]), np.flatnonzero(survivors[0])
 
 
 def relation_posterior(
@@ -246,21 +287,12 @@ def relation_posterior(
 ) -> RelationPosterior:
     """Posterior over forward relations for one entity pair, with the NA
     row acting as a learned threshold (and, by default, absorbing the
-    complementary probability mass)."""
-    dims = params.dims
-    rows = np.concatenate(
-        [np.arange(dims.n_rel), [dims.na_index]]
+    complementary probability mass): one row of `_posterior_grid`."""
+    _, na_scores, _, survivors, probs, na_mass = _posterior_grid(
+        params, ([head], [0]), [tail], None, include_na
     )
-    diff = (
-        params.entity_emb[head][None, :]
-        + params.relation_emb[rows]
-        - params.entity_emb[tail][None, :]
-    )
-    scores = -np.abs(diff).sum(axis=1)
-    fwd, na = scores[: dims.n_rel], float(scores[dims.n_rel])
-    probs, na_mass, survivors = posterior_from_scores(fwd, na, include_na)
     return RelationPosterior(
-        probs=probs, na_score=na, na_mass=na_mass, survivors=survivors
+        probs[0], float(na_scores[0]), float(na_mass[0]), np.flatnonzero(survivors[0])
     )
 
 

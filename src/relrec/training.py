@@ -17,7 +17,7 @@ import csv
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -101,10 +101,7 @@ class TrainConfig:
         return ModelDims(d=self.d, d_p=self.d_p, d_a=self.d_a, n_rel=n_rel)
 
     def to_dict(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__  # noqa: SLF001 - dataclass API
-        }
+        return asdict(self)
 
 
 def bce_loss(
@@ -196,18 +193,7 @@ def write_training_log(log: list[EpochLog], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for row in log:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.loss_recall),
-                    repr(row.loss_relational),
-                    repr(row.loss_prediction),
-                    repr(row.dev_precision),
-                    repr(row.dev_recall),
-                    repr(row.dev_f1),
-                    repr(row.wall_seconds),
-                ]
-            )
+            writer.writerow([row.epoch, *map(repr, astuple(row)[1:])])
 
 
 def _check_finite(loss: float, stage: str, epoch: int) -> None:
@@ -365,38 +351,25 @@ def joint_train(
             dev_f1,
         )
         if config.enable_prediction:
+            # Patience counts epochs since the last strict improvement.
+            stall = 0 if dev_f1 > best_f1 else stall + 1
             if dev_f1 >= best_f1:
                 # On ties, prefer the later epoch: the dev metric often
                 # saturates while the relation geometry is still
                 # sharpening, and the fresher parameters rationalize
-                # better at identical dev F1.  Patience still counts
-                # epochs since the last strict improvement.
-                if dev_f1 > best_f1:
-                    stall = 0
-                else:
-                    stall += 1
+                # better at identical dev F1.
                 best_f1 = dev_f1
                 best_epoch = epoch
                 best_params = params.copy()
                 best_state = state.copy()
-                if stall >= config.patience:
-                    logger.info(
-                        "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
-                        epoch,
-                        best_f1,
-                        best_epoch,
-                    )
-                    break
-            else:
-                stall += 1
-                if stall >= config.patience:
-                    logger.info(
-                        "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
-                        epoch,
-                        best_f1,
-                        best_epoch,
-                    )
-                    break
+            if stall >= config.patience:
+                logger.info(
+                    "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
+                    epoch,
+                    best_f1,
+                    best_epoch,
+                )
+                break
         else:
             best_params = params
             best_state = state

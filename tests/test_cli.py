@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import relrec.cli
 from relrec.cli import main
 from relrec.evaluation import load_pairs_tsv
 from relrec.params import load_checkpoint, save_checkpoint
@@ -498,6 +499,123 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in err
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("dims", lambda h: h["dims"].update(d=0)),
+            ("dims", lambda h: h["dims"].update(extra=1)),
+            ("dims", lambda h: h.update(dims=[8, 8, 8, 2])),
+            ("dims", lambda h: h.pop("dims")),
+            ("dtype", lambda h: h.update(dtype="int8x")),
+            ("dtype", lambda h: h.update(dtype="int8")),
+            ("vocab_size", lambda h: h.update(vocab_size=h["vocab_size"] + 1)),
+            ("vocab_size", lambda h: h.update(vocab_size="60")),
+            ("tensors", lambda h: h.update(tensors={"entity_emb": [60, 8]})),
+            ("tensors", lambda h: h["tensors"].append(["entity_emb"])),
+            ("optimizer", lambda h: h["optimizer"].pop("steps")),
+            ("config", lambda h: h.pop("config")),
+        ],
+        ids=[
+            "dims-zero", "dims-extra-key", "dims-list", "dims-missing",
+            "dtype-unknown", "dtype-int", "vocab-size-off-by-one",
+            "vocab-size-string", "tensors-dict", "tensors-short-entry",
+            "optimizer-no-steps", "config-missing",
+        ],
+    )
+    def test_malformed_checkpoint_header(
+        self, workspace, tmp_path, capsys, field, edit
+    ):
+        # The payload checksum does not cover the header line.
+        data = workspace["model"].read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        edit(header)
+        model = tmp_path / "edited.bin"
+        model.write_bytes(json.dumps(header).encode() + data[newline:])
+        code, out, err = run(
+            ["evaluate", "--model", str(model),
+             "--pairs", str(workspace["splits"] / "test.tsv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:") and repr(field) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path",
+        [("train",), ("relations",), ("target_relation",),
+         ("train", "n_assoc_head"), ("train", "n_assoc_tail")],
+        ids=lambda path: ".".join(path),
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "rationalize"])
+    def test_checkpoint_config_missing_field(
+        self, workspace, tmp_path, capsys, path, command
+    ):
+        checkpoint = load_checkpoint(str(workspace["model"]))
+        config = json.loads(json.dumps(checkpoint.config))
+        table = config
+        for key in path[:-1]:
+            table = table[key]
+        del table[path[-1]]
+        model = tmp_path / "config.bin"
+        save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
+        head, tail = load_split(workspace, "test")[0]
+        argv = {
+            "evaluate": ["--pairs", str(workspace["splits"] / "test.tsv")],
+            "rationalize": ["--head", head, "--tail", tail],
+        }[command]
+        code, out, err = run([command, "--model", str(model), *argv], capsys)
+        assert code == 2
+        assert err.startswith("data error:")
+        assert f"config field {path[-1]!r} is missing or invalid" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_assoc_tail", 0), ("n_assoc_tail", "4"), ("n_assoc_tail", None),
+         ("n_assoc_tail", 2.5), ("relations", []), ("relations", ["r", "r"]),
+         ("relations", [["r"]]), ("relations", "rel_0")],
+    )
+    def test_checkpoint_config_field_invalid(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        checkpoint = load_checkpoint(str(workspace["model"]))
+        config = json.loads(json.dumps(checkpoint.config))
+        (config["train"] if field.startswith("n_assoc") else config)[field] = value
+        model = tmp_path / "field.bin"
+        save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
+        code, out, err = run(
+            ["evaluate", "--model", str(model),
+             "--pairs", str(workspace["splits"] / "test.tsv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:") and f"config field {field!r}" in err
+
+    def test_unknown_train_relation_is_data_error(self, workspace, tmp_path, capsys):
+        data = workspace["data"]
+        code, out, err = run(
+            ["train", "--graph", str(data / "graph.tsv"),
+             "--triples", str(data / "triples.tsv"),
+             "--pairs", str(data / "pairs.tsv"),
+             "--out", str(tmp_path / "m.bin"), "--relation", "rel_9"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:") and "unknown relation 'rel_9'" in err
+
+    def test_key_error_in_command_is_not_a_data_error(
+        self, workspace, monkeypatch, capsys
+    ):
+        # A KeyError from a bug must surface, not pass for bad input data.
+        def broken(*args, **kwargs):
+            raise KeyError("n_head")
+
+        monkeypatch.setattr(relrec.cli, "_predict_many", broken)
+        with pytest.raises(KeyError, match="n_head"):
+            main(["evaluate", "--model", str(workspace["model"]),
+                  "--pairs", str(workspace["splits"] / "test.tsv")])
+        assert "data error" not in capsys.readouterr().err
 
     def test_bogus_log_level(self, workspace, monkeypatch, capsys):
         monkeypatch.setenv("RELREC_LOG", "bogus")

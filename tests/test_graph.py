@@ -63,6 +63,29 @@ class TestVocab:
         # alphabetically and "zzz" (distance 3) comes last.
         assert vocab.closest("hat", n=4) == ["bat", "cat", "rat", "zzz"]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(st.text(alphabet="abc", max_size=7), max_size=25, unique=True),
+        query=st.text(alphabet="abcd", max_size=8),
+        n=st.integers(min_value=1, max_value=6),
+    )
+    def test_closest_equals_brute_force(self, terms, query, n):
+        # A three-letter alphabet gives many equal distances and lengths.
+        expected = sorted(terms, key=lambda t: (edit_distance(query, t), t))[:n]
+        assert Vocab(terms).closest(query, n=n) == expected
+
+    def test_closest_skips_terms_by_length_gap(self, monkeypatch):
+        computed = []
+
+        def counting(a, b):
+            computed.append(b)
+            return edit_distance(a, b)
+
+        monkeypatch.setattr(graph_module, "edit_distance", counting)
+        vocab = Vocab(["cat", "bat", "rat", "a" * 12, "hat"])
+        assert vocab.closest("cap", n=3) == ["cat", "bat", "hat"]
+        assert "a" * 12 not in computed
+
     def test_sha256_depends_on_order(self):
         assert Vocab(["a", "b"]).sha256() != Vocab(["b", "a"]).sha256()
         assert Vocab(["a", "b"]).sha256() == Vocab(["a", "b"]).sha256()

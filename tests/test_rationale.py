@@ -13,6 +13,7 @@ import relrec.rationale
 from relrec.rationale import (
     AssumptionRecord,
     CwaPair,
+    PredictionStructure,
     assumption_vector,
     attention_weights,
     cwa_rationales,
@@ -23,7 +24,13 @@ from relrec.rationale import (
     prediction_forward,
     rationalize_pair,
 )
-from relrec.relational import RelationPosterior, RelationSchema, TripleSet
+from relrec.relational import (
+    RelationPosterior,
+    RelationSchema,
+    TripleSet,
+    posterior_from_scores,
+    relation_posterior,
+)
 from relrec.training import grad_check
 
 LN_3 = 1.0986122886681098
@@ -292,7 +299,9 @@ class TestFactoredKernelEquivalence:
             params = random_params(seed)
             trace = prediction_forward(
                 params, 0, 8, 4, 3,
-                pairs=None if pairs is None else tuple(np.asarray(p) for p in pairs),
+                structure=None if pairs is None else PredictionStructure(
+                    *(np.asarray(p) for p in pairs)
+                ),
                 include_na=include_na,
             )
             self.check(params, trace, include_na)
@@ -311,6 +320,64 @@ class TestFactoredKernelEquivalence:
         )
         assert trace.structure is structure
         self.check(moved, trace, include_na)
+
+
+class TestSingleRowHelpersMatchKernel:
+    """The single-row helpers are one-row calls into the batched kernel:
+    each equals the matching row of a `prediction_forward` trace."""
+
+    @pytest.mark.parametrize("include_na", [True, False])
+    def test_posterior_and_attention_equal_grid_rows(self, include_na):
+        for seed in range(4):
+            params = random_params(seed)
+            trace = prediction_forward(params, 0, 8, 4, 3, include_na=include_na)
+            heads, tails = trace.structure.pair_heads, trace.structure.pair_tails
+            for p in range(len(heads)):
+                post = relation_posterior(
+                    params, int(heads[p]), int(tails[p]), include_na=include_na
+                )
+                survivors = np.flatnonzero(trace.structure.survivors[p])
+                assert np.array_equal(post.probs, trace.posterior[p])
+                assert post.na_mass == trace.na_mass[p]
+                assert post.na_score == trace.na_scores[p]
+                assert np.array_equal(post.survivors, survivors)
+                probs, na_mass, from_scores = posterior_from_scores(
+                    trace.scores[p], trace.na_scores[p], include_na
+                )
+                assert np.array_equal(probs, trace.posterior[p])
+                assert na_mass == trace.na_mass[p]
+                assert np.array_equal(from_scores, survivors)
+            assert np.array_equal(attention_weights(params, trace.pair_reprs), trace.attn)
+
+    @pytest.mark.parametrize("include_na", [True, False])
+    def test_assumption_and_pair_representation_equal_one_pair_trace(
+        self, include_na
+    ):
+        # A one-pair trace makes the same one-row products as the helpers;
+        # in a larger grid BLAS may sum a row of a matrix product in
+        # another order than a vector product.  The helper's assumption
+        # block is (posterior @ R) @ W_a, the kernel's posterior @ (R @ W_a),
+        # so the two agree bit for bit where no relation survives and to
+        # rounding elsewhere.
+        checked = {True: 0, False: 0}
+        for seed in range(4):
+            params = random_params(seed)
+            grid = prediction_forward(params, 0, 8, 4, 3, include_na=include_na)
+            for h, t in zip(grid.structure.pair_heads, grid.structure.pair_tails):
+                trace = prediction_forward(
+                    params, 0, 8, 4, 3, include_na=include_na,
+                    structure=PredictionStructure(np.array([h]), np.array([t])),
+                )
+                assum_vec = assumption_vector(trace.posterior[0], params)
+                assert np.array_equal(assum_vec, trace.assum_vecs[0])
+                pair_repr = pair_representation(params, int(h), int(t), assum_vec)
+                has_survivors = bool(trace.structure.survivors[0].any())
+                if has_survivors:
+                    assert_relative_close(pair_repr, trace.pair_reprs[0])
+                else:
+                    assert np.array_equal(pair_repr, trace.pair_reprs[0])
+                checked[has_survivors] += 1
+        assert checked[True] and checked[False]
 
 
 class TestExtractRationales:
