@@ -27,7 +27,6 @@ the same bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import gzip
 import hashlib
 import itertools
@@ -102,16 +101,9 @@ class Vocab:
         return self.terms[idx]
 
     def closest(self, term: str, n: int = 3) -> list[str]:
-        """The n vocabulary terms nearest to `term` by edit distance, ties
-        broken by the term.  The length gap of two terms bounds their
-        distance from below, so a term whose gap exceeds the n-th best
-        distance so far is skipped."""
-        best: list[tuple[int, str]] = []  # ascending, at most n entries
-        for t in self.terms if n > 0 else ():
-            if len(best) < n or abs(len(t) - len(term)) <= best[-1][0]:
-                bisect.insort(best, (edit_distance(term, t), t))
-                del best[n:]
-        return [t for _, t in best]
+        """The n vocabulary terms nearest to `term` by edit distance."""
+        ranked = sorted(self.terms, key=lambda t: (edit_distance(term, t), t))
+        return ranked[:n]
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.terms).encode("utf-8")).hexdigest()

@@ -42,6 +42,7 @@ from .numerics import sigmoid, stable_softmax
 from .params import ModelParams
 from .recall import AssociationList, top_associations
 from .relational import (
+    Distinct,
     RelationPosterior,
     RelationSchema,
     TripleSet,
@@ -71,8 +72,8 @@ class PredictionTrace:
     posterior: np.ndarray  # (P, n_rel), exactly zero off-survivors
     na_mass: np.ndarray  # (P,)
     assum_vecs: np.ndarray  # (P, d)
-    heads: tuple  # (U_h,) distinct pair heads, (P,) each pair's index into them
-    tails: tuple  # the same for the pair tails
+    heads: Distinct  # (U_h,) distinct pair heads, (P,) each pair's index
+    tails: Distinct  # (U_t,) distinct pair tails, (P,) each pair's index
     pair_reprs: np.ndarray  # (P, d_p)
     attn_hidden: np.ndarray  # (P, d_a) tanh of attention hidden layer
     attn_logits: np.ndarray  # (P,)
@@ -182,14 +183,13 @@ def assumption_vector(posterior_probs: np.ndarray, params: ModelParams) -> np.nd
 
 
 def _pair_projection(
-    params: ModelParams, heads: tuple, tails: tuple, assum_block: np.ndarray
+    params: ModelParams, heads: Distinct, tails: Distinct, assum_block: np.ndarray
 ) -> np.ndarray:
-    """tanh([E[h]; E[t]; a] @ W + b) per pair.  `heads` and `tails` are
-    (distinct ids, each pair's index into them), so each distinct entity
-    is projected once; `assum_block` holds each pair's a @ W_a."""
+    """tanh([E[h]; E[t]; a] @ W + b) per pair, each distinct entity
+    projected once; `assum_block` holds each pair's a @ W_a."""
     d, weight = params.dims.d, params.pair_weight
-    pre = (params.entity_emb[heads[0]] @ weight[:d])[heads[1]]
-    pre += (params.entity_emb[tails[0]] @ weight[d : 2 * d])[tails[1]]
+    pre = (params.entity_emb[heads.ids] @ weight[:d])[heads.inverse]
+    pre += (params.entity_emb[tails.ids] @ weight[d : 2 * d])[tails.inverse]
     pre += assum_block
     pre += params.pair_bias
     return np.tanh(pre, out=pre)
@@ -202,7 +202,7 @@ def pair_representation(
     for one pair: one row of `_pair_projection`."""
     assum_block = np.asarray(assum_vec) @ params.pair_weight[2 * params.dims.d :]
     return _pair_projection(
-        params, ([assoc_head], [0]), ([assoc_tail], [0]), assum_block
+        params, Distinct([assoc_head], [0]), Distinct([assoc_tail], [0]), assum_block
     )[0]
 
 
@@ -268,8 +268,8 @@ def prediction_forward(
     if len(pair_heads) == 0:
         raise ValueError("prediction needs at least one association pair")
 
-    heads = np.unique(pair_heads, return_inverse=True)
-    tails = np.unique(pair_tails, return_inverse=True)
+    heads = Distinct(*np.unique(pair_heads, return_inverse=True))
+    tails = Distinct(*np.unique(pair_tails, return_inverse=True))
     scores, na_scores, residuals, survivors, posterior, na_mass = _posterior_grid(
         params, heads, pair_tails, structure.survivors, include_na
     )
@@ -375,9 +375,13 @@ def prediction_backward(
     grads["relation_emb"][dims.na_index] += rel_rows_grad[n_rel]
 
     # Each distinct association entity gets its pairs' gradient once.
-    (heads, head_inverse), (tails, tail_inverse) = trace.heads, trace.tails
-    d_pre_head, sign_head = _row_sums(head_inverse, len(heads), d_pre, pair_sign_sum)
-    d_pre_tail, sign_tail = _row_sums(tail_inverse, len(tails), d_pre, pair_sign_sum)
+    heads, tails = trace.heads.ids, trace.tails.ids
+    d_pre_head, sign_head = _row_sums(
+        trace.heads.inverse, len(heads), d_pre, pair_sign_sum
+    )
+    d_pre_tail, sign_tail = _row_sums(
+        trace.tails.inverse, len(tails), d_pre, pair_sign_sum
+    )
     entity_emb = params.entity_emb
     grads["pair_weight"] = np.concatenate(
         [

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,6 +212,14 @@ class RelationPosterior:
         return k, float(self.probs[k])
 
 
+class Distinct(NamedTuple):
+    """The distinct entity ids on one side of a set of pairs, and each
+    pair's index into them: the pairs' ids are `ids[inverse]`."""
+
+    ids: np.ndarray
+    inverse: np.ndarray
+
+
 def _thresholded_softmax(
     scores: np.ndarray,
     na_scores: np.ndarray,
@@ -240,22 +249,20 @@ def _thresholded_softmax(
 
 def _posterior_grid(
     params: ModelParams,
-    heads: tuple,
+    heads: Distinct,
     pair_tails: np.ndarray,
     frozen_survivors: np.ndarray | None,
     include_na: bool,
 ):
     """L1 translation scores of all pairs over the forward rows and the NA
-    row, and their thresholded softmax.  `heads` is (distinct pair heads,
-    each pair's index into them)."""
-    unique_heads, head_inverse = heads
+    row, and their thresholded softmax."""
     dims = params.dims
     rows = np.concatenate([np.arange(dims.n_rel), [dims.na_index]])
     # head + relation once per distinct head, then minus each pair's tail.
     residuals = (
-        params.entity_emb[unique_heads][:, None, :]
+        params.entity_emb[heads.ids][:, None, :]
         + params.relation_emb[rows][None, :, :]
-    )[head_inverse]
+    )[heads.inverse]
     residuals -= params.entity_emb[pair_tails][:, None, :]  # (P, n_rel + 1, d)
     all_scores = -np.abs(residuals).sum(axis=2)
     scores = all_scores[:, : dims.n_rel]
@@ -289,7 +296,7 @@ def relation_posterior(
     row acting as a learned threshold (and, by default, absorbing the
     complementary probability mass): one row of `_posterior_grid`."""
     _, na_scores, _, survivors, probs, na_mass = _posterior_grid(
-        params, ([head], [0]), [tail], None, include_na
+        params, Distinct([head], [0]), [tail], None, include_na
     )
     return RelationPosterior(
         probs[0], float(na_scores[0]), float(na_mass[0]), np.flatnonzero(survivors[0])

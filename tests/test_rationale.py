@@ -347,37 +347,26 @@ class TestSingleRowHelpersMatchKernel:
                 assert np.array_equal(probs, trace.posterior[p])
                 assert na_mass == trace.na_mass[p]
                 assert np.array_equal(from_scores, survivors)
-            assert np.array_equal(attention_weights(params, trace.pair_reprs), trace.attn)
+            attn = attention_weights(params, trace.pair_reprs)
+            assert np.array_equal(attn, trace.attn)
 
     @pytest.mark.parametrize("include_na", [True, False])
-    def test_assumption_and_pair_representation_equal_one_pair_trace(
-        self, include_na
-    ):
-        # A one-pair trace makes the same one-row products as the helpers;
-        # in a larger grid BLAS may sum a row of a matrix product in
-        # another order than a vector product.  The helper's assumption
-        # block is (posterior @ R) @ W_a, the kernel's posterior @ (R @ W_a),
-        # so the two agree bit for bit where no relation survives and to
-        # rounding elsewhere.
-        checked = {True: 0, False: 0}
+    def test_assumption_and_pair_representation_match_grid_rows(self, include_na):
+        # Not bit for bit: BLAS may sum one row of a many-row product in
+        # another order than a one-row product, and the helper's assumption
+        # block is (posterior @ R) @ W_a where the kernel uses
+        # posterior @ (R @ W_a).  The rows differ by at most a few ulps.
         for seed in range(4):
             params = random_params(seed)
-            grid = prediction_forward(params, 0, 8, 4, 3, include_na=include_na)
-            for h, t in zip(grid.structure.pair_heads, grid.structure.pair_tails):
-                trace = prediction_forward(
-                    params, 0, 8, 4, 3, include_na=include_na,
-                    structure=PredictionStructure(np.array([h]), np.array([t])),
+            trace = prediction_forward(params, 0, 8, 4, 3, include_na=include_na)
+            heads, tails = trace.structure.pair_heads, trace.structure.pair_tails
+            for p in range(len(heads)):
+                assum_vec = assumption_vector(trace.posterior[p], params)
+                assert_relative_close(assum_vec, trace.assum_vecs[p], tol=1e-15)
+                pair_repr = pair_representation(
+                    params, int(heads[p]), int(tails[p]), assum_vec
                 )
-                assum_vec = assumption_vector(trace.posterior[0], params)
-                assert np.array_equal(assum_vec, trace.assum_vecs[0])
-                pair_repr = pair_representation(params, int(h), int(t), assum_vec)
-                has_survivors = bool(trace.structure.survivors[0].any())
-                if has_survivors:
-                    assert_relative_close(pair_repr, trace.pair_reprs[0])
-                else:
-                    assert np.array_equal(pair_repr, trace.pair_reprs[0])
-                checked[has_survivors] += 1
-        assert checked[True] and checked[False]
+                assert_relative_close(pair_repr, trace.pair_reprs[p], tol=1e-15)
 
 
 class TestExtractRationales:
