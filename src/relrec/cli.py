@@ -298,12 +298,10 @@ EVALUATE_DEFAULTS = {
 }
 
 
-def _predict_many(
-    params, pairs, n_head, n_tail, threads: int, include_na: bool
-) -> np.ndarray:
+def _predict_many(params, pairs, n_head, n_tail, threads: int) -> np.ndarray:
     def prob(pair):
         return prediction_forward(
-            params, pair.head, pair.tail, n_head, n_tail, include_na=include_na
+            params, pair.head, pair.tail, n_head, n_tail
         ).probability
 
     if threads > 1:
@@ -314,9 +312,11 @@ def _predict_many(
 
 def _load_model(path: str):
     """A checkpoint and what serving takes from its config: (checkpoint,
-    schema, target relation id, n_head, n_tail, include_na).  Checkpoints
-    that predate `include_na` were trained with the NA row in the
-    posterior normalizer."""
+    schema, target relation id, n_head, n_tail).  Serving always has the
+    NA row in the posterior normalizer, so a checkpoint whose training
+    config says `include_na` is anything but true (it was trained
+    without NA) is refused; absent, as in newer checkpoints, means
+    true."""
     checkpoint = load_checkpoint(path)
 
     def field(table: dict, name: str, kind: type):
@@ -330,6 +330,12 @@ def _load_model(path: str):
 
     meta = checkpoint.config
     train = field(meta, "train", dict)
+    if train.get("include_na", True) is not True:
+        raise CheckpointError(
+            f"{path}: checkpoint config field 'include_na' is "
+            f"{train['include_na']!r}: the model was trained without the NA "
+            "row in the posterior normalizer, which relrec does not serve"
+        )
     try:
         schema = RelationSchema(names=tuple(field(meta, "relations", list)))
     except (TypeError, ValueError) as exc:  # duplicate, reserved or unhashable
@@ -342,16 +348,17 @@ def _load_model(path: str):
         _relation_index(schema, field(meta, "target_relation", str)),
         field(train, "n_assoc_head", int),
         field(train, "n_assoc_tail", int),
-        train.get("include_na", True),
     )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, EVALUATE_DEFAULTS)
     _require(cfg, "model", "pairs")
-    checkpoint, schema, target, n_head, n_tail, include_na = _load_model(
-        cfg["model"]
-    )
+    if cfg["threads"] < 1:
+        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
+    if not 0.0 <= cfg["threshold"] <= 1.0:  # also refuses nan
+        raise UsageError(f"--threshold must be in [0, 1], got {cfg['threshold']}")
+    checkpoint, schema, target, n_head, n_tail = _load_model(cfg["model"])
     target_name = schema.names[target]
     pairs = [
         p
@@ -363,9 +370,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"no pairs for the model's target relation "
             f"{target_name!r} in {cfg['pairs']}"
         )
-    probs = _predict_many(
-        checkpoint.params, pairs, n_head, n_tail, cfg["threads"], include_na
-    )
+    probs = _predict_many(checkpoint.params, pairs, n_head, n_tail, cfg["threads"])
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     precision, recall, f1 = f1_score(probs, labels, threshold=cfg["threshold"])
     if cfg["dump"]:
@@ -415,9 +420,7 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode must be owa or cwa, got {cfg['mode']!r}")
     if cfg["topk"] < 1:
         raise UsageError(f"--topk must be >= 1, got {cfg['topk']}")
-    checkpoint, schema, target, n_head, n_tail, include_na = _load_model(
-        cfg["model"]
-    )
+    checkpoint, schema, target, n_head, n_tail = _load_model(cfg["model"])
     relation = target
     if cfg["relation"]:
         relation = _relation_index(schema, cfg["relation"])
@@ -440,7 +443,6 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         top_k=cfg["topk"],
         mode=mode,
         kb=kb,
-        include_na=include_na,
     )
     print(report.to_json_line())
     print(report.format_table())

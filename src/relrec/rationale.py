@@ -71,7 +71,6 @@ class PredictionTrace:
     residuals: np.ndarray  # (P, n_rel + 1, d) head + relation - tail
     posterior: np.ndarray  # (P, n_rel), exactly zero off-survivors
     na_mass: np.ndarray  # (P,)
-    assum_vecs: np.ndarray  # (P, d)
     heads: Distinct  # (U_h,) distinct pair heads, (P,) each pair's index
     tails: Distinct  # (U_t,) distinct pair tails, (P,) each pair's index
     pair_reprs: np.ndarray  # (P, d_p)
@@ -81,7 +80,6 @@ class PredictionTrace:
     pooled: np.ndarray  # (d_p,)
     logit: float
     probability: float
-    include_na: bool
 
 
 @dataclass
@@ -93,7 +91,6 @@ class AssumptionRecord:
     assoc_tail: int
     top_relation: int | None
     posterior: RelationPosterior
-    assum_vec: np.ndarray
     pair_repr: np.ndarray
     attn: float
     score: float
@@ -245,7 +242,6 @@ def prediction_forward(
     n_tail: int,
     *,
     structure: PredictionStructure | None = None,
-    include_na: bool = True,
 ) -> PredictionTrace:
     """Full pipeline forward pass for one query pair.
 
@@ -271,12 +267,11 @@ def prediction_forward(
     heads = Distinct(*np.unique(pair_heads, return_inverse=True))
     tails = Distinct(*np.unique(pair_tails, return_inverse=True))
     scores, na_scores, residuals, survivors, posterior, na_mass = _posterior_grid(
-        params, heads, pair_tails, structure.survivors, include_na
+        params, heads, pair_tails, structure.survivors
     )
     if structure.survivors is None:
         structure = replace(structure, survivors=survivors)
     d, n_rel = params.dims.d, params.dims.n_rel
-    assum_vecs = assumption_vector(posterior, params)
     # The assumption block a @ W_a is posterior @ (R @ W_a), of rank n_rel.
     w_assum = params.pair_weight[2 * d :]
     pair_reprs = _pair_projection(
@@ -293,7 +288,6 @@ def prediction_forward(
         residuals=residuals,
         posterior=posterior,
         na_mass=na_mass,
-        assum_vecs=assum_vecs,
         heads=heads,
         tails=tails,
         pair_reprs=pair_reprs,
@@ -303,7 +297,6 @@ def prediction_forward(
         pooled=pooled,
         logit=logit,
         probability=probability,
-        include_na=include_na,
     )
 
 
@@ -413,7 +406,6 @@ def _records_from_trace(trace: PredictionTrace) -> list[AssumptionRecord]:
                 assoc_tail=int(trace.structure.pair_tails[p]),
                 top_relation=None if top is None else top[0],
                 posterior=posterior,
-                assum_vec=trace.assum_vecs[p],
                 pair_repr=trace.pair_reprs[p],
                 attn=attn,
                 score=0.0 if top is None else attn * top[1],
@@ -428,14 +420,10 @@ def predict_relation(
     tail: int,
     n_head: int,
     n_tail: int,
-    *,
-    include_na: bool = True,
 ) -> tuple[float, list[AssumptionRecord]]:
     """Probability that the trained target relation holds between head
     and tail, plus the scored assumption records behind it."""
-    trace = prediction_forward(
-        params, head, tail, n_head, n_tail, include_na=include_na
-    )
+    trace = prediction_forward(params, head, tail, n_head, n_tail)
     return trace.probability, _records_from_trace(trace)
 
 
@@ -532,8 +520,8 @@ def cwa_rationales(
 ) -> list[CwaPair]:
     """Closed-world assumption pair filter: rank all association cross
     pairs by the product of their retrieval probabilities and keep only
-    pairs that appear as (head, tail) of some stored kb triple, capped at
-    n_head * n_tail.  An empty result signals that no kb triple matched.
+    pairs that appear as (head, tail) of some stored kb triple.  An empty
+    result signals that no kb triple matched.
     `associations` passes in the (head, tail) association lists when the
     caller has already recalled them.
     """
@@ -549,7 +537,7 @@ def cwa_rationales(
             if kb.has_pair(ha, ta):
                 kept.append(CwaPair(assoc_head=ha, assoc_tail=ta, retrieval=hp * tp))
     kept.sort(key=lambda p: (-p.retrieval, p.assoc_head, p.assoc_tail))
-    return kept[: n_head * n_tail]
+    return kept
 
 
 def rationalize_pair(
@@ -565,7 +553,6 @@ def rationalize_pair(
     top_k: int,
     mode: str = OWA_MODE,
     kb: TripleSet | None = None,
-    include_na: bool = True,
 ) -> RationaleReport:
     """Predict and explain one pair in OWA or CWA mode.
 
@@ -580,9 +567,7 @@ def rationalize_pair(
     mode = mode.upper()
     target = (head, relation, tail)
     if mode == OWA_MODE:
-        probability, records = predict_relation(
-            params, head, tail, n_head, n_tail, include_na=include_na
-        )
+        probability, records = predict_relation(params, head, tail, n_head, n_tail)
         return extract_rationales(
             records, target, top_k, vocab=vocab, schema=schema,
             probability=probability,
@@ -608,7 +593,6 @@ def rationalize_pair(
         n_head,
         n_tail,
         structure=PredictionStructure(pair_heads, pair_tails),
-        include_na=include_na,
     )
     candidates = []
     if kept:

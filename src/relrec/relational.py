@@ -196,8 +196,8 @@ class RelationPosterior:
     """Thresholded relation distribution for one entity pair.
 
     probs[k] is nonzero only for survivors (forward relations whose score
-    strictly exceeds the NA score).  When the NA row is included in the
-    normalizer, the survivor probabilities plus the NA mass sum to one.
+    strictly exceeds the NA score).  The NA row is part of the normalizer,
+    so the survivor probabilities plus the NA mass sum to one.
     """
 
     probs: np.ndarray
@@ -221,29 +221,20 @@ class Distinct(NamedTuple):
 
 
 def _thresholded_softmax(
-    scores: np.ndarray,
-    na_scores: np.ndarray,
-    survivors: np.ndarray | None,
-    include_na: bool,
+    scores: np.ndarray, na_scores: np.ndarray, survivors: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(survivors, posterior, na_mass) of (P, n_rel) forward scores and
-    (P,) NA scores.  Survivors, unless given, are the relations scoring
-    strictly above their NA score; the posterior is exactly zero off
-    them."""
+    (P,) NA scores: a softmax over the NA row and the survivors.
+    Survivors, unless given, are the relations scoring strictly above
+    their NA score; the posterior is exactly zero off them, and NA keeps
+    the rest of the mass."""
     if survivors is None:
         survivors = scores > na_scores[:, None]
     masked = np.where(survivors, scores, -np.inf)
-    m = masked.max(axis=1, initial=-np.inf)
-    if include_na:
-        m = np.maximum(na_scores, m)
-        exp_na = np.exp(na_scores - m)
-    else:
-        m[np.isneginf(m)] = 0.0  # rows without survivors
-        exp_na = np.zeros_like(m)
+    m = np.maximum(na_scores, masked.max(axis=1, initial=-np.inf))
+    exp_na = np.exp(na_scores - m)
     exp_fwd = np.exp(masked - m[:, None])
     z = exp_na + exp_fwd.sum(axis=1)
-    if not include_na:
-        z[z == 0] = 1.0  # rows without survivors
     return survivors, exp_fwd / z[:, None], exp_na / z
 
 
@@ -252,7 +243,6 @@ def _posterior_grid(
     heads: Distinct,
     pair_tails: np.ndarray,
     frozen_survivors: np.ndarray | None,
-    include_na: bool,
 ):
     """L1 translation scores of all pairs over the forward rows and the NA
     row, and their thresholded softmax."""
@@ -268,35 +258,29 @@ def _posterior_grid(
     scores = all_scores[:, : dims.n_rel]
     na_scores = all_scores[:, dims.n_rel]
     survivors, posterior, na_mass = _thresholded_softmax(
-        scores, na_scores, frozen_survivors, include_na
+        scores, na_scores, frozen_survivors
     )
     return scores, na_scores, residuals, survivors, posterior, na_mass
 
 
 def posterior_from_scores(
-    scores: np.ndarray, na_score: float, include_na: bool = True
+    scores: np.ndarray, na_score: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Thresholded softmax over forward-relation scores, one row of
     `_thresholded_softmax`: exactly the relations with scores[k] >
     na_score survive.  Returns (probs, na_mass, survivor_indices)."""
     survivors, probs, na_mass = _thresholded_softmax(
-        np.asarray(scores, dtype=np.float64)[None], np.array([float(na_score)]),
-        None, include_na,
+        np.asarray(scores, dtype=np.float64)[None], np.array([float(na_score)]), None
     )
     return probs[0], float(na_mass[0]), np.flatnonzero(survivors[0])
 
 
-def relation_posterior(
-    params: ModelParams,
-    head: int,
-    tail: int,
-    include_na: bool = True,
-) -> RelationPosterior:
+def relation_posterior(params: ModelParams, head: int, tail: int) -> RelationPosterior:
     """Posterior over forward relations for one entity pair, with the NA
-    row acting as a learned threshold (and, by default, absorbing the
-    complementary probability mass): one row of `_posterior_grid`."""
+    row acting as a learned threshold and absorbing the complementary
+    probability mass: one row of `_posterior_grid`."""
     _, na_scores, _, survivors, probs, na_mass = _posterior_grid(
-        params, Distinct([head], [0]), [tail], None, include_na
+        params, Distinct([head], [0]), [tail], None
     )
     return RelationPosterior(
         probs[0], float(na_scores[0]), float(na_mass[0]), np.flatnonzero(survivors[0])

@@ -50,7 +50,9 @@ class TrainConfig:
     by the prediction pipeline default to it when left as None.  The
     three batch sizes b1/b2/b3 feed the recall, relational, and
     prediction stages respectively.  Losses are computed in float64 by
-    default ("float32" is accepted for the dtype).
+    default ("float32" is accepted for the dtype).  Every epoch runs all
+    three stages, and the relation posterior always has the NA row in its
+    normalizer; neither is a setting.
     """
 
     d: int = 128
@@ -71,10 +73,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     dtype: str = "float64"
-    include_na: bool = True
-    enable_recall: bool = True
-    enable_relational: bool = True
-    enable_prediction: bool = True
 
     def __post_init__(self):
         if self.d_p is None:
@@ -125,7 +123,6 @@ def prediction_loss(
     n_head: int,
     n_tail: int,
     *,
-    include_na: bool = True,
     structures: list | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Binary cross entropy of the full pipeline over a pair batch, with
@@ -142,7 +139,6 @@ def prediction_loss(
             pair.tail,
             n_head,
             n_tail,
-            include_na=include_na,
             structure=None if structures is None else structures[i],
         )
         probs[i] = trace.probability
@@ -208,12 +204,11 @@ def predict_probabilities(
     pairs: list[LabeledPair],
     n_head: int,
     n_tail: int,
-    include_na: bool = True,
 ) -> np.ndarray:
     probs = np.empty(len(pairs), dtype=np.float64)
     for i, pair in enumerate(pairs):
         probs[i] = prediction_forward(
-            params, pair.head, pair.tail, n_head, n_tail, include_na=include_na
+            params, pair.head, pair.tail, n_head, n_tail
         ).probability
     return probs
 
@@ -229,10 +224,9 @@ def joint_train(
 ) -> TrainResult:
     """Train the shared parameters with the three staged losses.
 
-    Preconditions: the PPMI matrix has at least one entity with support
-    when the recall stage is enabled; the triple set is nonempty when
-    the relational stage is enabled; train and dev pairs are nonempty
-    and target a single relation when the prediction stage is enabled.
+    Preconditions: at least one entity has PPMI support, the triple set
+    is nonempty, and train and dev pairs are nonempty and target a
+    single relation.
     """
     rng = np.random.default_rng(config.seed)
     dims = config.dims(schema.n_rel)
@@ -243,31 +237,24 @@ def joint_train(
     )
 
     support = ppmi.entities_with_support()
-    if config.enable_recall and len(support) == 0:
-        raise ValueError("recall stage enabled but no entity has PPMI support")
+    if len(support) == 0:
+        raise ValueError("no entity has PPMI support")
     augmented = triples.augment_reverse(schema.n_rel)
-    if config.enable_relational and len(augmented) == 0:
-        raise ValueError("relational stage enabled but the triple set is empty")
+    if len(augmented) == 0:
+        raise ValueError("the triple set is empty")
     augmented_ids = np.asarray(augmented.triples, dtype=np.int64).reshape(-1, 3)
-    if config.enable_prediction:
-        if not train_pairs or not dev_pairs:
-            raise ValueError("prediction stage enabled but pairs are missing")
-        target_relations = {p.relation for p in train_pairs} | {
-            p.relation for p in dev_pairs
-        }
-        if len(target_relations) != 1:
-            raise ValueError(
-                "labeled pairs must target a single relation, got "
-                f"{sorted(target_relations)}"
-            )
+    if not train_pairs or not dev_pairs:
+        raise ValueError("train and dev pairs are required")
+    target_relations = {p.relation for p in train_pairs} | {
+        p.relation for p in dev_pairs
+    }
+    if len(target_relations) != 1:
+        raise ValueError(
+            "labeled pairs must target a single relation, got "
+            f"{sorted(target_relations)}"
+        )
 
-    if config.enable_prediction:
-        steps_per_epoch = max(1, math.ceil(len(train_pairs) / config.b3))
-    elif config.enable_relational:
-        steps_per_epoch = max(1, math.ceil(len(augmented) / config.b2))
-    else:
-        steps_per_epoch = max(1, math.ceil(len(support) / config.b1))
-
+    steps_per_epoch = math.ceil(len(train_pairs) / config.b3)
     dev_labels = np.array([p.label for p in dev_pairs], dtype=np.float64)
     log: list[EpochLog] = []
     best_params = params.copy()
@@ -280,56 +267,42 @@ def joint_train(
     for epoch in range(1, config.max_epochs + 1):
         start = time.perf_counter()
         epochs_run = epoch
-        order = (
-            rng.permutation(len(train_pairs)) if config.enable_prediction else None
-        )
+        order = rng.permutation(len(train_pairs))
         sums = {"recall": 0.0, "relational": 0.0, "prediction": 0.0}
         for step in range(steps_per_epoch):
-            if config.enable_recall:
-                batch = rng.choice(
-                    support, size=min(config.b1, len(support)), replace=False
-                )
-                loss, grads = recall_loss(params, ppmi, batch)
-                _check_finite(loss, "recall", epoch)
-                adam_step(params, grads, state)
-                sums["recall"] += loss / len(batch)
-            if config.enable_relational:
-                idx = rng.choice(
-                    len(augmented), size=min(config.b2, len(augmented)), replace=False
-                )
-                batch_triples = augmented_ids[idx]
-                corruption_seed = int(rng.integers(0, 2**63 - 1))
-                loss, grads = relational_loss(
-                    params, batch_triples, config.n_neg, seed=corruption_seed
-                )
-                _check_finite(loss, "relational", epoch)
-                adam_step(params, grads, state)
-                sums["relational"] += loss / len(batch_triples)
-            if config.enable_prediction:
-                sl = order[step * config.b3 : (step + 1) * config.b3]
-                batch_pairs = [train_pairs[i] for i in sl]
-                if batch_pairs:
-                    loss, grads, _ = prediction_loss(
-                        params,
-                        batch_pairs,
-                        config.n_assoc_head,
-                        config.n_assoc_tail,
-                        include_na=config.include_na,
-                    )
-                    _check_finite(loss, "prediction", epoch)
-                    adam_step(params, grads, state)
-                    sums["prediction"] += loss / len(batch_pairs)
-
-        dev_precision = dev_recall = dev_f1 = 0.0
-        if config.enable_prediction:
-            dev_probs = predict_probabilities(
-                params,
-                dev_pairs,
-                config.n_assoc_head,
-                config.n_assoc_tail,
-                include_na=config.include_na,
+            batch = rng.choice(
+                support, size=min(config.b1, len(support)), replace=False
             )
-            dev_precision, dev_recall, dev_f1 = f1_score(dev_probs, dev_labels)
+            loss, grads = recall_loss(params, ppmi, batch)
+            _check_finite(loss, "recall", epoch)
+            adam_step(params, grads, state)
+            sums["recall"] += loss / len(batch)
+
+            idx = rng.choice(
+                len(augmented), size=min(config.b2, len(augmented)), replace=False
+            )
+            batch_triples = augmented_ids[idx]
+            corruption_seed = int(rng.integers(0, 2**63 - 1))
+            loss, grads = relational_loss(
+                params, batch_triples, config.n_neg, seed=corruption_seed
+            )
+            _check_finite(loss, "relational", epoch)
+            adam_step(params, grads, state)
+            sums["relational"] += loss / len(batch_triples)
+
+            sl = order[step * config.b3 : (step + 1) * config.b3]
+            batch_pairs = [train_pairs[i] for i in sl]
+            loss, grads, _ = prediction_loss(
+                params, batch_pairs, config.n_assoc_head, config.n_assoc_tail
+            )
+            _check_finite(loss, "prediction", epoch)
+            adam_step(params, grads, state)
+            sums["prediction"] += loss / len(batch_pairs)
+
+        dev_probs = predict_probabilities(
+            params, dev_pairs, config.n_assoc_head, config.n_assoc_tail
+        )
+        dev_precision, dev_recall, dev_f1 = f1_score(dev_probs, dev_labels)
         log.append(
             EpochLog(
                 epoch=epoch,
@@ -350,37 +323,32 @@ def joint_train(
             log[-1].loss_prediction,
             dev_f1,
         )
-        if config.enable_prediction:
-            # Patience counts epochs since the last strict improvement.
-            stall = 0 if dev_f1 > best_f1 else stall + 1
-            if dev_f1 >= best_f1:
-                # On ties, prefer the later epoch: the dev metric often
-                # saturates while the relation geometry is still
-                # sharpening, and the fresher parameters rationalize
-                # better at identical dev F1.
-                best_f1 = dev_f1
-                best_epoch = epoch
-                best_params = params.copy()
-                best_state = state.copy()
-            if stall >= config.patience:
-                logger.info(
-                    "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
-                    epoch,
-                    best_f1,
-                    best_epoch,
-                )
-                break
-        else:
-            best_params = params
-            best_state = state
+        # Patience counts epochs since the last strict improvement.
+        stall = 0 if dev_f1 > best_f1 else stall + 1
+        if dev_f1 >= best_f1:
+            # On ties, prefer the later epoch: the dev metric often
+            # saturates while the relation geometry is still
+            # sharpening, and the fresher parameters rationalize
+            # better at identical dev F1.
+            best_f1 = dev_f1
             best_epoch = epoch
+            best_params = params.copy()
+            best_state = state.copy()
+        if stall >= config.patience:
+            logger.info(
+                "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
+                epoch,
+                best_f1,
+                best_epoch,
+            )
+            break
 
     return TrainResult(
         params=best_params,
         state=best_state,
         log=log,
         best_epoch=best_epoch,
-        best_dev_f1=max(best_f1, 0.0),
+        best_dev_f1=best_f1,
         epochs_run=epochs_run,
     )
 

@@ -2,6 +2,7 @@
 exit-code mapping."""
 
 import json
+import math
 import os
 
 import pytest
@@ -10,9 +11,7 @@ import relrec.cli
 from relrec.cli import main
 from relrec.evaluation import load_pairs_tsv
 from relrec.params import load_checkpoint, save_checkpoint
-from relrec.rationale import prediction_forward
 from relrec.relational import RelationSchema
-from relrec.training import TrainConfig, predict_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -163,44 +162,6 @@ class TestPipeline:
             kb_triples = load_kb_terms(workspace)
             for r in payload["rationales"]:
                 assert (r["h"], r["r"], r["t"]) in kb_triples
-
-
-    def test_scoring_uses_checkpoint_include_na(self, workspace, tmp_path, capsys):
-        checkpoint = load_checkpoint(str(workspace["model"]))
-        config = dict(checkpoint.config)
-        train = TrainConfig(**{**config["train"], "include_na": False})
-        config["train"] = train.to_dict()
-        model = tmp_path / "no_na.bin"
-        save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
-        schema = RelationSchema(names=tuple(config["relations"]))
-        pairs = load_pairs_tsv(
-            str(workspace["splits"] / "test.tsv"), checkpoint.vocab, schema
-        )
-        dump = tmp_path / "probs.tsv"
-        code, out, err = run(
-            ["evaluate", "--model", str(model),
-             "--pairs", str(workspace["splits"] / "test.tsv"), "--dump", str(dump)],
-            capsys,
-        )
-        assert code == 0, err
-        dumped = [float(line.split("\t")[3]) for line in dump.read_text().splitlines()]
-        args = (checkpoint.params, pairs, train.n_assoc_head, train.n_assoc_tail)
-        expected = predict_probabilities(*args, include_na=False)
-        assert dumped == expected.tolist()
-        assert dumped != predict_probabilities(*args, include_na=True).tolist()
-
-        head, tail = pairs[0].head, pairs[0].tail
-        code, out, err = run(
-            ["rationalize", "--model", str(model),
-             "--head", checkpoint.vocab.term_of(head),
-             "--tail", checkpoint.vocab.term_of(tail)],
-            capsys,
-        )
-        assert code == 0, err
-        assert json.loads(out.splitlines()[0])["probability"] == prediction_forward(
-            checkpoint.params, head, tail, train.n_assoc_head, train.n_assoc_tail,
-            include_na=False,
-        ).probability
 
 
 def load_split(workspace, name):
@@ -409,6 +370,24 @@ class TestExitCodes:
         assert "usage error" in err and "--topk" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("threads", 0), ("threads", -2), ("threshold", math.nan),
+         ("threshold", math.inf), ("threshold", -0.1), ("threshold", 1.5)],
+    )
+    def test_evaluate_option_out_of_range(self, tmp_path, capsys, key, value):
+        # The model does not exist: a data error (exit 2) would mean the
+        # option was checked only after reading the inputs.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))  # nan and inf as NaN, Infinity
+        argv = ["evaluate", "--model", "/nonexistent/m.bin",
+                "--pairs", "/nonexistent/p.tsv"]
+        for extra in ([f"--{key}", str(value)], ["--config", str(config)]):
+            code, out, err = run(argv + extra, capsys)
+            assert code == 1
+            assert err.startswith("usage error:") and f"--{key}" in err
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--dim", "--n-assoc", "--n-neg"])
     def test_train_option_below_one_checked_before_data(self, tmp_path, capsys, flag):
         # The data paths do not exist: a data error (exit 2) would mean the
@@ -469,9 +448,10 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_checkpoint_with_top_k_still_serves(self, workspace, tmp_path, capsys):
+        # Older checkpoints record include_na; true still serves.
         checkpoint = load_checkpoint(str(workspace["model"]))
         config = dict(checkpoint.config)
-        config["train"] = {**config["train"], "top_k": 5}
+        config["train"] = {**config["train"], "top_k": 5, "include_na": True}
         model = tmp_path / "top_k.bin"
         save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
         code, out, err = run(
@@ -574,23 +554,23 @@ class TestExitCodes:
         "field, value",
         [("n_assoc_tail", 0), ("n_assoc_tail", "4"), ("n_assoc_tail", None),
          ("n_assoc_tail", 2.5), ("relations", []), ("relations", ["r", "r"]),
-         ("relations", [["r"]]), ("relations", "rel_0")],
+         ("relations", [["r"]]), ("relations", "rel_0"),
+         ("include_na", False), ("include_na", 0), ("include_na", "no")],
     )
     def test_checkpoint_config_field_invalid(
         self, workspace, tmp_path, capsys, field, value
     ):
         checkpoint = load_checkpoint(str(workspace["model"]))
         config = json.loads(json.dumps(checkpoint.config))
-        (config["train"] if field.startswith("n_assoc") else config)[field] = value
+        (config if field == "relations" else config["train"])[field] = value
         model = tmp_path / "field.bin"
         save_checkpoint(str(model), checkpoint.params, checkpoint.vocab, config)
-        code, out, err = run(
-            ["evaluate", "--model", str(model),
-             "--pairs", str(workspace["splits"] / "test.tsv")],
-            capsys,
-        )
-        assert code == 2
-        assert err.startswith("data error:") and f"config field {field!r}" in err
+        head, tail = load_split(workspace, "test")[0]
+        for argv in (["evaluate", "--pairs", str(workspace["splits"] / "test.tsv")],
+                     ["rationalize", "--head", head, "--tail", tail]):
+            code, out, err = run([*argv, "--model", str(model)], capsys)
+            assert code == 2
+            assert err.startswith("data error:") and f"config field {field!r}" in err
 
     def test_unknown_train_relation_is_data_error(self, workspace, tmp_path, capsys):
         data = workspace["data"]

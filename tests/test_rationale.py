@@ -63,7 +63,6 @@ def make_record(assoc_head, assoc_tail, attn, probs, d=2):
         assoc_tail=assoc_tail,
         top_relation=None if top is None else top[0],
         posterior=posterior,
-        assum_vec=np.zeros(d),
         pair_repr=np.zeros(d),
         attn=attn,
         score=0.0 if top is None else attn * top[1],
@@ -188,7 +187,7 @@ class TestPredictionForward:
         assert result.max_error <= 1e-4
 
 
-def unfactored_forward_backward(params, structure, include_na, dlogit):
+def unfactored_forward_backward(params, structure, dlogit):
     """The pair projection in its per-pair form: every pair's
     concatenated input [E[h]; E[t]; a] through the full pair weight, and
     gradients scattered into entity rows pair by pair with np.add.at.
@@ -202,14 +201,10 @@ def unfactored_forward_backward(params, structure, include_na, dlogit):
     all_scores = -np.abs(diff).sum(axis=2)
     scores, na_scores = all_scores[:, :n_rel], all_scores[:, n_rel]
     masked = np.where(structure.survivors, scores, -np.inf)
-    m = masked.max(axis=1, initial=-np.inf)
-    if include_na:
-        m = np.maximum(m, na_scores)
-    m = np.where(np.isfinite(m), m, 0.0)
+    m = np.maximum(masked.max(axis=1, initial=-np.inf), na_scores)
     exp_fwd = np.exp(masked - m[:, None])
-    exp_na = np.exp(na_scores - m) if include_na else np.zeros(len(heads))
+    exp_na = np.exp(na_scores - m)
     z = exp_na + exp_fwd.sum(axis=1)
-    z = np.where(z > 0, z, 1.0)
     posterior, na_mass = exp_fwd / z[:, None], exp_na / z
     inputs = np.concatenate([E[heads], E[tails], posterior @ R[:n_rel]], axis=1)
     reprs = np.tanh(inputs @ params.pair_weight + params.pair_bias)
@@ -281,9 +276,9 @@ class TestFactoredKernelEquivalence:
         ),
     }
 
-    def check(self, params, trace, include_na):
+    def check(self, params, trace):
         probability, expected = unfactored_forward_backward(
-            params, trace.structure, include_na, dlogit=0.7
+            params, trace.structure, dlogit=0.7
         )
         assert abs(trace.probability - probability) <= 1e-12 * probability
         grads = prediction_backward(params, trace, 0.7)
@@ -291,9 +286,8 @@ class TestFactoredKernelEquivalence:
         for name, grad in expected.items():
             assert_relative_close(grads[name], grad)
 
-    @pytest.mark.parametrize("include_na", [True, False])
     @pytest.mark.parametrize("pair_set", sorted(PAIR_SETS))
-    def test_matches_per_pair_form(self, pair_set, include_na):
+    def test_matches_per_pair_form(self, pair_set):
         pairs = self.PAIR_SETS[pair_set]
         for seed in range(3):
             params = random_params(seed)
@@ -302,47 +296,38 @@ class TestFactoredKernelEquivalence:
                 structure=None if pairs is None else PredictionStructure(
                     *(np.asarray(p) for p in pairs)
                 ),
-                include_na=include_na,
             )
-            self.check(params, trace, include_na)
+            self.check(params, trace)
 
-    @pytest.mark.parametrize("include_na", [True, False])
-    def test_matches_per_pair_form_with_frozen_structure(self, include_na):
+    def test_matches_per_pair_form_with_frozen_structure(self):
         params = random_params(5)
-        structure = prediction_forward(
-            params, 0, 8, 4, 3, include_na=include_na
-        ).structure
+        structure = prediction_forward(params, 0, 8, 4, 3).structure
         # Moved parameters keep the frozen survivor sets, so some pairs
         # score relations that would not survive on their own.
         moved = random_params(6)
-        trace = prediction_forward(
-            moved, 0, 8, 4, 3, structure=structure, include_na=include_na
-        )
+        trace = prediction_forward(moved, 0, 8, 4, 3, structure=structure)
         assert trace.structure is structure
-        self.check(moved, trace, include_na)
+        self.check(moved, trace)
 
 
 class TestSingleRowHelpersMatchKernel:
     """The single-row helpers are one-row calls into the batched kernel:
     each equals the matching row of a `prediction_forward` trace."""
 
-    @pytest.mark.parametrize("include_na", [True, False])
-    def test_posterior_and_attention_equal_grid_rows(self, include_na):
+    def test_posterior_and_attention_equal_grid_rows(self):
         for seed in range(4):
             params = random_params(seed)
-            trace = prediction_forward(params, 0, 8, 4, 3, include_na=include_na)
+            trace = prediction_forward(params, 0, 8, 4, 3)
             heads, tails = trace.structure.pair_heads, trace.structure.pair_tails
             for p in range(len(heads)):
-                post = relation_posterior(
-                    params, int(heads[p]), int(tails[p]), include_na=include_na
-                )
+                post = relation_posterior(params, int(heads[p]), int(tails[p]))
                 survivors = np.flatnonzero(trace.structure.survivors[p])
                 assert np.array_equal(post.probs, trace.posterior[p])
                 assert post.na_mass == trace.na_mass[p]
                 assert post.na_score == trace.na_scores[p]
                 assert np.array_equal(post.survivors, survivors)
                 probs, na_mass, from_scores = posterior_from_scores(
-                    trace.scores[p], trace.na_scores[p], include_na
+                    trace.scores[p], trace.na_scores[p]
                 )
                 assert np.array_equal(probs, trace.posterior[p])
                 assert na_mass == trace.na_mass[p]
@@ -350,19 +335,19 @@ class TestSingleRowHelpersMatchKernel:
             attn = attention_weights(params, trace.pair_reprs)
             assert np.array_equal(attn, trace.attn)
 
-    @pytest.mark.parametrize("include_na", [True, False])
-    def test_assumption_and_pair_representation_match_grid_rows(self, include_na):
+    def test_assumption_and_pair_representation_match_grid_rows(self):
         # Not bit for bit: BLAS may sum one row of a many-row product in
         # another order than a one-row product, and the helper's assumption
         # block is (posterior @ R) @ W_a where the kernel uses
         # posterior @ (R @ W_a).  The rows differ by at most a few ulps.
         for seed in range(4):
             params = random_params(seed)
-            trace = prediction_forward(params, 0, 8, 4, 3, include_na=include_na)
+            trace = prediction_forward(params, 0, 8, 4, 3)
+            assum_vecs = trace.posterior @ params.relation_emb[: params.dims.n_rel]
             heads, tails = trace.structure.pair_heads, trace.structure.pair_tails
             for p in range(len(heads)):
                 assum_vec = assumption_vector(trace.posterior[p], params)
-                assert_relative_close(assum_vec, trace.assum_vecs[p], tol=1e-15)
+                assert_relative_close(assum_vec, assum_vecs[p], tol=1e-15)
                 pair_repr = pair_representation(
                     params, int(heads[p]), int(tails[p]), assum_vec
                 )

@@ -149,14 +149,6 @@ class TestPosterior:
         assert probs[1] == 0.0  # exact zero branch
         assert abs(probs[0] + na_mass - 1.0) <= 1e-12
 
-    def test_exclude_na_from_normalizer(self):
-        probs, na_mass, survivors = posterior_from_scores(
-            np.array([2.0, 0.0]), na_score=1.0, include_na=False
-        )
-        assert survivors.tolist() == [0]
-        assert probs[0] == 1.0
-        assert na_mass == 0.0
-
     def test_no_survivors(self):
         probs, na_mass, survivors = posterior_from_scores(
             np.array([-1.0, 0.5]), na_score=0.5
