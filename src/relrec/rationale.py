@@ -10,6 +10,15 @@ learned attention, and applies a logistic head.  Each surviving
 (association-head, relation, association-tail) candidate is a rationale
 scored by attention weight times posterior probability.
 
+Reports are ranked straight from the forward arrays: the candidates are
+the (pair p, relation k) cells of the survivor mask (in CWA, the kb
+relations of kb-matched pairs that survived), the score is
+attn[p] * posterior[p, k], the target triple itself is excluded, and ties
+break by (head id, tail id, relation id).  Report entries are built for
+the top_k candidates alone.  `predict_relation` and `extract_rationales`
+remain for library callers that want one `AssumptionRecord` per
+association pair; they rank those records by the same rule.
+
 The pairs are built from few distinct entities: an n_head x n_tail grid
 has only n_head + n_tail.  So the projection of a pair's input
 [E[h]; E[t]; a] is split along the three blocks of `pair_weight`:
@@ -428,7 +437,11 @@ def predict_relation(
 
 
 def _ranked_report(
-    candidates: list[tuple[float, int, int, int, float, float]],
+    heads: np.ndarray,
+    tails: np.ndarray,
+    relations: np.ndarray,
+    attn: np.ndarray,
+    posterior: np.ndarray,
     target: tuple[int, int, int],
     top_k: int,
     *,
@@ -438,23 +451,34 @@ def _ranked_report(
     mode: str,
     fallback: bool = False,
 ) -> RationaleReport:
-    """Report the top_k of (score, head, tail, relation, attn, posterior)
-    candidates, ties broken by (head id, tail id, relation id)."""
+    """Report the top_k candidates (heads[i], relations[i], tails[i]),
+    scored by attn[i] * posterior[i] in float64.  The target triple is
+    dropped; ties break by (head id, tail id, relation id).  Entries are
+    built for the top_k alone."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     head_id, relation_id, tail_id = target
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    attn = np.asarray(attn, dtype=np.float64)
+    posterior = np.asarray(posterior, dtype=np.float64)
+    score = attn * posterior
+    is_target = (heads == head_id) & (relations == relation_id) & (tails == tail_id)
+    order = np.lexsort((relations, tails, heads, -score))
+    order = order[~is_target[order]][:top_k]
     entries = [
         RationaleEntry(
             head=vocab.term_of(h),
             relation=schema.name_of(k),
             tail=vocab.term_of(t),
-            score=score,
-            attn=attn,
-            posterior=post,
+            score=s,
+            attn=a,
+            posterior=q,
             head_id=h,
             relation_id=k,
             tail_id=t,
         )
-        for score, h, t, k, attn, post in candidates[:top_k]
+        for h, t, k, s, a, q in zip(
+            *(x[order].tolist() for x in (heads, tails, relations, score, attn, posterior))
+        )
     ]
     return RationaleReport(
         head=vocab.term_of(head_id),
@@ -479,24 +503,19 @@ def extract_rationales(
     fallback: bool = False,
 ) -> RationaleReport:
     """Rank every surviving (association head, relation, association
-    tail) candidate by attention weight times posterior probability and
-    keep the top_k.  The exact target triple is removed if it appears.
+    tail) candidate of the records by attention weight times posterior
+    probability and keep the top_k, as `rationalize_pair` ranks a
+    forward trace.  The exact target triple is removed if it appears.
     Ties break deterministically by (head id, tail id, relation id).
     """
-    target = tuple(target)
-    candidates = []
-    for record in records:
-        for k in record.posterior.survivors:
-            k = int(k)
-            if (record.assoc_head, k, record.assoc_tail) == target:
-                continue
-            post = float(record.posterior.probs[k])
-            candidates.append(
-                (record.attn * post, record.assoc_head, record.assoc_tail, k,
-                 record.attn, post)
-            )
+    candidates = [(r, int(k)) for r in records for k in r.posterior.survivors]
     return _ranked_report(
-        candidates, target, top_k, vocab=vocab, schema=schema,
+        np.array([r.assoc_head for r, _ in candidates], dtype=np.int64),
+        np.array([r.assoc_tail for r, _ in candidates], dtype=np.int64),
+        np.array([k for _, k in candidates], dtype=np.int64),
+        np.array([r.attn for r, _ in candidates], dtype=np.float64),
+        np.array([r.posterior.probs[k] for r, k in candidates], dtype=np.float64),
+        tuple(target), top_k, vocab=vocab, schema=schema,
         probability=probability, mode=mode, fallback=fallback,
     )
 
@@ -563,50 +582,54 @@ def rationalize_pair(
     prediction falls back to the unrestricted pair set and the report is
     flagged with an empty rationale list.  Each side's associations are
     recalled once and shared by the pair filter and the prediction.
+    Candidates are ranked from the trace arrays, by attention times
+    posterior with ties broken by (head id, tail id, relation id); the
+    target triple is never its own rationale.  top_k must be >= 1.
     """
     mode = mode.upper()
-    target = (head, relation, tail)
     if mode == OWA_MODE:
-        probability, records = predict_relation(params, head, tail, n_head, n_tail)
-        return extract_rationales(
-            records, target, top_k, vocab=vocab, schema=schema,
-            probability=probability,
-        )
-    if mode != CWA_MODE:
-        raise ValueError(f"unknown mode {mode!r}; expected OWA or CWA")
-    if kb is None:
-        raise ValueError("CWA mode needs a kb triple set")
-    head_assoc = top_associations(params, head, n_head)
-    tail_assoc = top_associations(params, tail, n_tail)
-    kept = cwa_rationales(
-        params, kb, head, tail, n_head, n_tail, associations=(head_assoc, tail_assoc)
-    )
-    if kept:
-        pair_heads = np.array([p.assoc_head for p in kept], dtype=np.int64)
-        pair_tails = np.array([p.assoc_tail for p in kept], dtype=np.int64)
+        trace = prediction_forward(params, head, tail, n_head, n_tail)
+        p, k = np.nonzero(trace.structure.survivors)
+        fallback = False
     else:
-        pair_heads, pair_tails = _cross_pairs(head_assoc, tail_assoc)
-    trace = prediction_forward(
-        params,
-        head,
-        tail,
-        n_head,
-        n_tail,
-        structure=PredictionStructure(pair_heads, pair_tails),
-    )
-    candidates = []
-    if kept:
+        if mode != CWA_MODE:
+            raise ValueError(f"unknown mode {mode!r}; expected OWA or CWA")
+        if kb is None:
+            raise ValueError("CWA mode needs a kb triple set")
+        head_assoc = top_associations(params, head, n_head)
+        tail_assoc = top_associations(params, tail, n_tail)
+        kept = cwa_rationales(
+            params, kb, head, tail, n_head, n_tail,
+            associations=(head_assoc, tail_assoc),
+        )
+        if kept:
+            pair_heads = np.array([c.assoc_head for c in kept], dtype=np.int64)
+            pair_tails = np.array([c.assoc_tail for c in kept], dtype=np.int64)
+        else:
+            pair_heads, pair_tails = _cross_pairs(head_assoc, tail_assoc)
+        trace = prediction_forward(
+            params,
+            head,
+            tail,
+            n_head,
+            n_tail,
+            structure=PredictionStructure(pair_heads, pair_tails),
+        )
+        # Reverse rows never appear in reports; vetoed relations have no
+        # posterior to rank.  A fallback report ranks nothing.
         survivors = trace.structure.survivors
-        for p, (h, t) in enumerate(zip(pair_heads.tolist(), pair_tails.tolist())):
-            for k in kb.relations_between(h, t):
-                # Reverse rows never appear in reports; vetoed relations
-                # have no posterior to rank.
-                if k >= schema.n_rel or not survivors[p, k] or (h, k, t) == target:
-                    continue
-                attn = float(trace.attn[p])
-                post = float(trace.posterior[p, k])
-                candidates.append((attn * post, h, t, k, attn, post))
+        candidates = [
+            (i, rel)
+            for i, pair in enumerate(kept)
+            for rel in kb.relations_between(pair.assoc_head, pair.assoc_tail)
+            if rel < schema.n_rel and survivors[i, rel]
+        ]
+        p, k = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
+        fallback = not kept
+    structure = trace.structure
     return _ranked_report(
-        candidates, target, top_k, vocab=vocab, schema=schema,
-        probability=trace.probability, mode=CWA_MODE, fallback=not kept,
+        structure.pair_heads[p], structure.pair_tails[p], k,
+        trace.attn[p], trace.posterior[p, k], (head, relation, tail), top_k,
+        vocab=vocab, schema=schema, probability=trace.probability, mode=mode,
+        fallback=fallback,
     )

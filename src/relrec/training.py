@@ -257,8 +257,10 @@ def joint_train(
     steps_per_epoch = math.ceil(len(train_pairs) / config.b3)
     dev_labels = np.array([p.label for p in dev_pairs], dtype=np.float64)
     log: list[EpochLog] = []
-    best_params = params.copy()
-    best_state = state.copy()
+    # Dev F1 is never below 0, so epoch 1 is always kept and the first
+    # copies are taken there.
+    best_params: ModelParams | None = None
+    best_state: AdamState | None = None
     best_epoch = 0
     best_f1 = -1.0
     stall = 0

@@ -6,14 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relrec.graph import Vocab
 from relrec.params import ModelDims, init_params
 import relrec.rationale
 from relrec.rationale import (
+    CWA_MODE,
+    OWA_MODE,
     AssumptionRecord,
     CwaPair,
     PredictionStructure,
+    _ranked_report,
     assumption_vector,
     attention_weights,
     cwa_rationales,
@@ -415,6 +420,12 @@ class TestExtractRationales:
         report = self.make_report(records, top_k=3)
         assert len(report.rationales) == 3
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, top_k):
+        records = [make_record(i, i + 1, attn=0.2, probs=[0.3, 0.2]) for i in range(5)]
+        with pytest.raises(ValueError, match="top_k"):
+            self.make_report(records, top_k=top_k)
+
     def test_json_line_schema(self):
         records = [make_record(0, 1, attn=1.0, probs=[0.6, 0.0])]
         report = self.make_report(records)
@@ -444,6 +455,202 @@ class TestExtractRationales:
         assert "pair: e7" in table
         assert "probability" in table
         assert "rank" in table
+
+
+ATTN_VALUES = (0.1, 0.25, 0.5)
+# 0.25 * 0.4 == 0.5 * 0.2 exactly, and repeated draws give equal
+# attention and posterior on several pairs: both force score ties.  A
+# survivor whose posterior underflowed to 0.0 still ranks, with score 0.
+POSTERIOR_VALUES = (0.0, 0.2, 0.4, 0.5, 0.8)
+RANKER_VOCAB = Vocab([f"e{i}" for i in range(8)])
+
+
+def oracle_ranking(candidates, target, top_k):
+    """The tuple-sort ranking: drop the target triple from the
+    (score, head, tail, relation, attn, posterior) candidates, sort by
+    (-score, head, tail, relation) and keep the first top_k."""
+    kept = [c for c in candidates if (c[1], c[3], c[2]) != tuple(target)]
+    kept.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    return kept[:top_k]
+
+
+@st.composite
+def ranker_cases(draw):
+    """(mode, pairs, attn, posterior, candidate cells, target, top_k,
+    dtype): an OWA association grid ranking every survivor, or a CWA pair
+    list ranking the survivors that are kb relations."""
+    n_rel = draw(st.integers(1, 3))
+    ids = st.integers(0, len(RANKER_VOCAB) - 1)
+    mode = draw(st.sampled_from([OWA_MODE, CWA_MODE]))
+    if mode == OWA_MODE:
+        heads = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+        tails = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+        pairs = [(h, t) for h in heads for t in tails]
+    else:
+        pairs = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=8, unique=True))
+    attn = draw(st.lists(st.sampled_from(ATTN_VALUES), min_size=len(pairs),
+                         max_size=len(pairs)))
+    cells = [(p, k) for p in range(len(pairs)) for k in range(n_rel)]
+    vetoes = draw(st.sampled_from(["none", "some", "all"]))
+    if vetoes == "some":
+        survived = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    else:
+        survived = [vetoes == "none"] * len(cells)
+    probs = draw(st.lists(st.sampled_from(POSTERIOR_VALUES), min_size=len(cells),
+                          max_size=len(cells)))
+    posterior = [[0.0] * n_rel for _ in pairs]
+    for (p, k), alive, q in zip(cells, survived, probs):
+        if alive:
+            posterior[p][k] = q
+    candidates = [c for c, alive in zip(cells, survived) if alive]
+    if mode == CWA_MODE:
+        candidates = [c for c in candidates if draw(st.booleans())]
+    if candidates and draw(st.booleans()):
+        p, k = draw(st.sampled_from(candidates))
+        target = (pairs[p][0], k, pairs[p][1])
+    else:
+        target = (draw(ids), draw(st.integers(0, n_rel - 1)), draw(ids))
+    top_k = draw(st.integers(1, len(candidates) + 3))
+    dtype = draw(st.sampled_from(["float64", "float32"]))
+    return mode, pairs, attn, posterior, candidates, target, top_k, dtype
+
+
+class TestArrayRanker:
+    """The array ranker equals the tuple-sort oracle entry for entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranker_cases())
+    # Every score tied, the target among them, top_k above the count.
+    @example((OWA_MODE, [(0, 1), (0, 2), (3, 1), (3, 2)], [0.25] * 4,
+              [[0.4, 0.4]] * 4, [(p, k) for p in range(4) for k in range(2)],
+              (3, 1, 2), 100, "float64"))
+    # All pairs vetoed.
+    @example((OWA_MODE, [(0, 1), (0, 2)], [0.5, 0.5], [[0.0, 0.0]] * 2, [],
+              (0, 0, 1), 5, "float64"))
+    def test_matches_tuple_sort_oracle(self, case):
+        mode, pairs, attn, posterior, candidates, target, top_k, dtype = case
+        n_rel = len(posterior[0])
+        schema = RelationSchema(names=tuple(f"r{k}" for k in range(n_rel)))
+        pair_heads = np.array([h for h, _ in pairs], dtype=np.int64)
+        pair_tails = np.array([t for _, t in pairs], dtype=np.int64)
+        attn = np.array(attn, dtype=dtype)
+        posterior = np.array(posterior, dtype=dtype)
+        p, k = np.array(candidates, dtype=np.int64).reshape(-1, 2).T
+        report = _ranked_report(
+            pair_heads[p], pair_tails[p], k, attn[p], posterior[p, k], target,
+            top_k, vocab=RANKER_VOCAB, schema=schema, probability=0.5, mode=mode,
+        )
+        expected = oracle_ranking(
+            [
+                (float(attn[p]) * float(posterior[p, k]), pairs[p][0], pairs[p][1],
+                 k, float(attn[p]), float(posterior[p, k]))
+                for p, k in candidates
+            ],
+            target,
+            top_k,
+        )
+        entries = report.rationales
+        assert [
+            (e.score, e.head_id, e.tail_id, e.relation_id, e.attn, e.posterior)
+            for e in entries
+        ] == expected
+        assert [(e.head, e.relation, e.tail) for e in entries] == [
+            (RANKER_VOCAB.term_of(h), schema.name_of(k), RANKER_VOCAB.term_of(t))
+            for _, h, t, k, _, _ in expected
+        ]
+        # Plain Python numbers, so the JSON line is that of the oracle's.
+        assert all(
+            type(e.score) is type(e.attn) is type(e.posterior) is float
+            and type(e.head_id) is type(e.tail_id) is type(e.relation_id) is int
+            for e in entries
+        )
+        if mode == OWA_MODE:
+            records = [
+                AssumptionRecord(
+                    assoc_head=h,
+                    assoc_tail=t,
+                    top_relation=None,
+                    posterior=RelationPosterior(
+                        probs=posterior[i], na_score=0.0, na_mass=0.0,
+                        survivors=np.array([c for q, c in candidates if q == i],
+                                           dtype=np.int64),
+                    ),
+                    pair_repr=np.zeros(2),
+                    attn=float(attn[i]),
+                    score=0.0,
+                )
+                for i, (h, t) in enumerate(pairs)
+            ]
+            assert extract_rationales(
+                records, target, top_k, vocab=RANKER_VOCAB, schema=schema,
+                probability=0.5,
+            ) == report
+
+
+class TestServingPath:
+    """`rationalize_pair` ranks the forward trace itself: it builds no
+    per-pair records, and its OWA report is the one the record path
+    gives."""
+
+    @staticmethod
+    def world():
+        params = random_params(0)
+        vocab = Vocab([f"e{i}" for i in range(params.vocab_size)])
+        schema = RelationSchema(names=("r0", "r1", "r2"))
+        head_assoc = relrec.rationale.top_associations(params, 0, 4)
+        tail_assoc = relrec.rationale.top_associations(params, 8, 3)
+        h, t = int(head_assoc.entity_ids[0]), int(tail_assoc.entity_ids[0])
+        kb = TripleSet(triples=[(h, k, t) for k in range(3)])
+        # The queried head is never its own association.
+        no_match = TripleSet(triples=[(0, 0, 8)])
+        return params, vocab, schema, kb, no_match
+
+    def rationalize(self, mode, kb=None, top_k=5):
+        params, vocab, schema, kb_match, no_match = self.world()
+        return rationalize_pair(
+            params, vocab, schema, 0, 8, 0, n_head=4, n_tail=3,
+            top_k=top_k, mode=mode,
+            kb={"kb": kb_match, "fallback": no_match}.get(kb),
+        )
+
+    @pytest.mark.parametrize(
+        "mode, kb, fallback", [("owa", None, False), ("cwa", "kb", False),
+                               ("cwa", "fallback", True)]
+    )
+    def test_no_records_built(self, monkeypatch, mode, kb, fallback):
+        expected = self.rationalize(mode, kb)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-pair records built while serving")
+
+        for name in ("_records_from_trace", "predict_relation", "extract_rationales"):
+            monkeypatch.setattr(relrec.rationale, name, forbidden)
+        report = self.rationalize(mode, kb)
+        assert report == expected
+        assert report.fallback == fallback
+        assert (report.rationales == []) == fallback
+
+    @pytest.mark.parametrize("top_k", [1, 5, 1000])
+    def test_owa_report_equals_record_path(self, top_k):
+        for seed in range(4):
+            params = random_params(seed)
+            vocab = Vocab([f"e{i}" for i in range(params.vocab_size)])
+            schema = RelationSchema(names=("r0", "r1", "r2"))
+            probability, records = predict_relation(params, 0, 8, 4, 3)
+            report = rationalize_pair(
+                params, vocab, schema, 0, 8, 0, n_head=4, n_tail=3, top_k=top_k,
+            )
+            assert report.rationales
+            assert report == extract_rationales(
+                records, (0, 0, 8), top_k, vocab=vocab, schema=schema,
+                probability=probability,
+            )
+
+    @pytest.mark.parametrize("mode, kb", [("owa", None), ("cwa", "kb")])
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, mode, kb, top_k):
+        with pytest.raises(ValueError, match="top_k"):
+            self.rationalize(mode, kb, top_k=top_k)
 
 
 class TestCwa:
