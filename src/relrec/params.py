@@ -421,4 +421,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         )
     if offset != len(payload):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+    # The checksums cover NaN and inf too; serving them gives NaN answers.
+    checked = list(tensors.items())
+    if state is not None:
+        checked += [(f"adam m[{name}]", m) for name, m in state.m.items()]
+        checked += [(f"adam v[{name}]", v) for name, v in state.v.items()]
+    for name, tensor in checked:
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
     return Checkpoint(params=params, state=state, vocab=vocab, config=header["config"])

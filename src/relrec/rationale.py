@@ -25,11 +25,25 @@ has only n_head + n_tail.  So the projection of a pair's input
 each distinct head and tail is projected once and gathered per pair,
 and the assumption block goes through the rank-n_rel product
 posterior @ (R @ W_a).  Likewise, the head + relation part of the L1
-residuals head + relation - tail is formed once per distinct head.  The
-backward pass sums each pair's gradient per distinct entity with a 0/1
-matmul and writes every entity row once.  This is exact algebra, not an
+residuals head + relation - tail is formed once per distinct head and
+kept in the trace as `head_rows`; the (P, n_rel + 1, d) residual grid
+itself is never held whole.  The forward streams it through blocks of
+about 1 MiB of pairs (gather head rows, subtract tails, abs, sum over d),
+and the backward rebuilds it the same way to write the full sign grid
+its two matmuls take.  A grid of one block (every quickstart-sized
+query) is left in the thread's block buffer, so a backward that follows
+its forward takes it from there.  The element operations and the sum
+over d are those of the whole grid, so scores, survivors, posteriors and
+gradients are the same bit for bit at any block size.  The backward pass
+sums each pair's gradient per distinct entity with a 0/1 matmul and
+writes every entity row once.  This is exact algebra, not an
 approximation: the scores and survivor sets are bit-for-bit those of the
 per-pair form, the rest agrees to rounding.
+
+Signs for the survivor rows alone (the NA row plus about 0.2 of n_rel
+per pair at large scale) were tried and not kept: BLAS then sums the
+relation gradient over another set of pairs, which moved its last bits,
+and the scatter they need made the backward slower.
 
 `prediction_forward` keeps every intermediate needed by
 `prediction_backward`, which implements the full analytic gradient of
@@ -56,6 +70,7 @@ from .relational import (
     RelationSchema,
     TripleSet,
     _posterior_grid,
+    _residual_signs,
 )
 
 OWA_MODE = "OWA"
@@ -77,7 +92,7 @@ class PredictionTrace:
     structure: PredictionStructure
     scores: np.ndarray  # (P, n_rel) forward-relation translation scores
     na_scores: np.ndarray  # (P,)
-    residuals: np.ndarray  # (P, n_rel + 1, d) head + relation - tail
+    head_rows: np.ndarray  # (U_h, n_rel + 1, d) head + relation, distinct heads
     posterior: np.ndarray  # (P, n_rel), exactly zero off-survivors
     na_mass: np.ndarray  # (P,)
     heads: Distinct  # (U_h,) distinct pair heads, (P,) each pair's index
@@ -275,7 +290,7 @@ def prediction_forward(
 
     heads = Distinct(*np.unique(pair_heads, return_inverse=True))
     tails = Distinct(*np.unique(pair_tails, return_inverse=True))
-    scores, na_scores, residuals, survivors, posterior, na_mass = _posterior_grid(
+    scores, na_scores, head_rows, survivors, posterior, na_mass = _posterior_grid(
         params, heads, pair_tails, structure.survivors
     )
     if structure.survivors is None:
@@ -294,7 +309,7 @@ def prediction_forward(
         structure=structure,
         scores=scores,
         na_scores=na_scores,
-        residuals=residuals,
+        head_rows=head_rows,
         posterior=posterior,
         na_mass=na_mass,
         heads=heads,
@@ -368,7 +383,9 @@ def prediction_backward(
     d_all_scores = np.concatenate([d_scores, d_na[:, None]], axis=1)
 
     # L1 translation scores: residual u = head + rel - tail, score = -|u|.
-    signs = np.sign(trace.residuals)  # (P, n_rel + 1, d)
+    signs = _residual_signs(
+        params, trace.head_rows, trace.heads.inverse, trace.structure.pair_tails
+    )  # (P, n_rel + 1, d)
     pair_sign_sum = np.matmul(d_all_scores[:, None, :], signs)[:, 0, :]  # (P, d)
     rel_rows_grad = -np.matmul(
         d_all_scores.T[:, None, :], signs.transpose(1, 0, 2)
@@ -538,9 +555,10 @@ def cwa_rationales(
     associations: tuple[AssociationList, AssociationList] | None = None,
 ) -> list[CwaPair]:
     """Closed-world assumption pair filter: rank all association cross
-    pairs by the product of their retrieval probabilities and keep only
-    pairs that appear as (head, tail) of some stored kb triple.  An empty
-    result signals that no kb triple matched.
+    pairs by the product of their retrieval probabilities (in float64,
+    ties by head id, then tail id) and keep only pairs that appear as
+    (head, tail) of some stored kb triple, looked up in the kb's sorted
+    pair keys.  An empty result signals that no kb triple matched.
     `associations` passes in the (head, tail) association lists when the
     caller has already recalled them.
     """
@@ -550,13 +568,20 @@ def cwa_rationales(
             top_associations(params, tail, n_tail),
         )
     head_assoc, tail_assoc = associations
-    kept = []
-    for ha, hp in head_assoc:
-        for ta, tp in tail_assoc:
-            if kb.has_pair(ha, ta):
-                kept.append(CwaPair(assoc_head=ha, assoc_tail=ta, retrieval=hp * tp))
-    kept.sort(key=lambda p: (-p.retrieval, p.assoc_head, p.assoc_tail))
-    return kept
+    i, j = np.nonzero(
+        kb.has_pairs(head_assoc.entity_ids[:, None], tail_assoc.entity_ids[None, :])
+    )
+    if not len(i):
+        return []
+    heads, tails = head_assoc.entity_ids[i], tail_assoc.entity_ids[j]
+    retrieval = head_assoc.probabilities.astype(np.float64)[i] * (
+        tail_assoc.probabilities.astype(np.float64)[j]
+    )
+    order = np.lexsort((tails, heads, -retrieval))
+    return [
+        CwaPair(assoc_head=h, assoc_tail=t, retrieval=r)
+        for h, t, r in zip(*(x[order].tolist() for x in (heads, tails, retrieval)))
+    ]
 
 
 def rationalize_pair(

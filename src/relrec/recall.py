@@ -22,7 +22,10 @@ from .params import ModelParams
 @dataclass
 class AssociationList:
     """Top associations of one entity, strongest first.  The entity
-    itself is excluded; ties break toward the smaller entity id."""
+    itself is excluded; ties break toward the smaller entity id, and NaN
+    probabilities come last.  The top n are selected by partition, not by
+    a full sort of the vocabulary, and are exactly the first n of a stable
+    argsort of the negated probabilities."""
 
     entity: int
     entity_ids: np.ndarray
@@ -45,17 +48,21 @@ def top_associations(params: ModelParams, entity: int, n: int) -> AssociationLis
     if n < 1:
         raise ValueError("association count must be >= 1")
     probs = association_probability(params, entity)
-    candidate_ids = np.arange(params.vocab_size)
-    keep = candidate_ids != entity
-    candidate_ids = candidate_ids[keep]
-    candidate_probs = probs[keep]
-    # Stable sort on descending probability keeps ascending-id order for ties.
-    order = np.argsort(-candidate_probs, kind="stable")[:n]
-    return AssociationList(
-        entity=entity,
-        entity_ids=candidate_ids[order],
-        probabilities=candidate_probs[order],
-    )
+    keys = -probs
+    if n + 1 < len(keys):
+        # With the entity left out, the top n all have keys at or below
+        # the (n + 1)-th smallest key.  Ties at that value are all kept
+        # here and cut by id below.  A NaN threshold (fewer than n + 1
+        # non-NaN keys) keeps every entity, since nothing compares above it.
+        threshold = np.partition(keys, n)[n]
+        candidates = np.flatnonzero(~(keys > threshold))
+    else:
+        candidates = np.arange(len(keys))
+    candidates = candidates[candidates != entity]
+    # Descending probability, ties by ascending id, NaN last: the order of
+    # a stable argsort of the keys.
+    ids = candidates[np.lexsort((candidates, keys[candidates]))[:n]]
+    return AssociationList(entity=entity, entity_ids=ids, probabilities=probs[ids])
 
 
 def recall_loss(

@@ -26,7 +26,10 @@ float64 gradients are the same bit for bit as a per-triple loop:
 from __future__ import annotations
 
 import logging
+import math
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +127,26 @@ class TripleSet:
 
     def has_pair(self, head: int, tail: int) -> bool:
         return (head, tail) in self._pair_relations
+
+    @cached_property
+    def _pair_keys(self) -> np.ndarray:
+        """Sorted keys (head << 31) + tail of the stored (head, tail) pairs,
+        then a sentinel above every key.  Entity ids must lie in
+        [0, 2**31), so keys stay below 2**62.  Built on first use."""
+        pairs = np.array(list(self._pair_relations), dtype=np.int64).reshape(-1, 2)
+        if np.any(pairs >> 31):
+            raise ValueError("pair keys need entity ids in [0, 2**31)")
+        keys = np.sort((pairs[:, 0] << 31) + pairs[:, 1])
+        return np.append(keys, np.iinfo(np.int64).max)
+
+    def has_pairs(self, heads, tails) -> np.ndarray:
+        """`has_pair` over broadcast arrays of head and tail ids."""
+        heads = np.asarray(heads, dtype=np.int64)
+        tails = np.asarray(tails, dtype=np.int64)
+        query = (heads << 31) + tails
+        keys = self._pair_keys
+        found = keys[np.searchsorted(keys, query)] == query
+        return found & ((heads >> 31) == 0) & ((tails >> 31) == 0)
 
     def head_pool(self, relation: int) -> np.ndarray:
         heads = sorted({h for h, r, _ in self.triples if r == relation})
@@ -238,6 +261,63 @@ def _thresholded_softmax(
     return survivors, exp_fwd / z[:, None], exp_na / z
 
 
+# Pairs per block of the residual grid head + relation - tail: as many as
+# fit in 1 MiB, half of a 2 MiB L2 cache.  A large query's whole grid
+# (1024 pairs, 5 rows of d = 128) is 5 MiB in float64.
+_GRID_BLOCK_BYTES = 1 << 20
+
+# Per-thread buffers for the residual block, its absolute values and the
+# backward's sign grid.  Allocated afresh per call, they were page-faulted
+# in again and again: about 140 minor faults per quickstart-sized forward
+# and backward, which cost more than the arithmetic done in them.
+_workspace = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A `shape` view of this thread's buffer `name`, grown when too small.
+    Its contents are undefined, and the next call for `name` in this
+    thread overwrites them."""
+    size = math.prod(shape)
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = np.empty(size, dtype)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _residual_blocks(
+    head_rows: np.ndarray, head_inverse: np.ndarray, tail_emb: np.ndarray
+):
+    """Residuals head + relation - tail of consecutive pair blocks.
+
+    `head_rows` (U_h, R, d) holds head + relation per distinct head,
+    `head_inverse` (P,) each pair's row in it and `tail_emb` (P, d) each
+    pair's tail embedding.  Yields (lo, hi, block) with the residuals of
+    pairs lo:hi in `block`, this thread's block buffer, which callers
+    must not write to.  A grid that fits in one block stays in the buffer
+    until the next call: asked again for the same `head_rows` (a backward
+    right after its forward), the block is yielded as it is.
+    """
+    n_pairs = len(head_inverse)
+    kept = getattr(_workspace, "grid", None)
+    if kept is not None and kept[0] is head_rows:
+        yield 0, n_pairs, kept[1]
+        return
+    _workspace.grid = None
+    step = max(1, _GRID_BLOCK_BYTES // head_rows[0].nbytes)
+    scratch = _scratch(
+        "block", (min(step, n_pairs),) + head_rows.shape[1:], head_rows.dtype
+    )
+    for lo in range(0, n_pairs, step):
+        hi = min(lo + step, n_pairs)
+        block = scratch[: hi - lo]
+        np.take(head_rows, head_inverse[lo:hi], axis=0, out=block, mode="clip")
+        block -= tail_emb[lo:hi, None, :]
+        yield lo, hi, block
+    if n_pairs <= step:
+        _workspace.grid = (head_rows, block)
+
+
 def _posterior_grid(
     params: ModelParams,
     heads: Distinct,
@@ -245,22 +325,53 @@ def _posterior_grid(
     frozen_survivors: np.ndarray | None,
 ):
     """L1 translation scores of all pairs over the forward rows and the NA
-    row, and their thresholded softmax."""
+    row, and their thresholded softmax.  Also returns head_rows, the
+    (U_h, n_rel + 1, d) head + relation rows of the distinct heads; the
+    (P, n_rel + 1, d) residuals are only ever held one block at a time."""
     dims = params.dims
     rows = np.concatenate([np.arange(dims.n_rel), [dims.na_index]])
     # head + relation once per distinct head, then minus each pair's tail.
-    residuals = (
+    head_rows = (
         params.entity_emb[heads.ids][:, None, :]
         + params.relation_emb[rows][None, :, :]
-    )[heads.inverse]
-    residuals -= params.entity_emb[pair_tails][:, None, :]  # (P, n_rel + 1, d)
-    all_scores = -np.abs(residuals).sum(axis=2)
+    )
+    n_pairs = len(pair_tails)
+    all_scores = np.empty((n_pairs, len(rows)), dtype=head_rows.dtype)
+    for lo, hi, block in _residual_blocks(
+        head_rows, heads.inverse, params.entity_emb[pair_tails]
+    ):
+        # A grid of one block is kept for the backward, so its magnitudes
+        # go to another buffer; a larger grid is not kept.
+        magnitude = block
+        if hi - lo == n_pairs:
+            magnitude = _scratch("abs", block.shape, block.dtype)
+        np.abs(block, out=magnitude)
+        magnitude.sum(axis=2, out=all_scores[lo:hi])
+    np.negative(all_scores, out=all_scores)
     scores = all_scores[:, : dims.n_rel]
     na_scores = all_scores[:, dims.n_rel]
     survivors, posterior, na_mass = _thresholded_softmax(
         scores, na_scores, frozen_survivors
     )
-    return scores, na_scores, residuals, survivors, posterior, na_mass
+    return scores, na_scores, head_rows, survivors, posterior, na_mass
+
+
+def _residual_signs(
+    params: ModelParams,
+    head_rows: np.ndarray,
+    head_inverse: np.ndarray,
+    pair_tails: np.ndarray,
+) -> np.ndarray:
+    """sign(head + relation - tail) of all pairs, (P, n_rel + 1, d), in
+    this thread's sign buffer: valid until the next call.  Each block's
+    signs are written from the residual block into the grid, since
+    np.sign in place runs several times slower than into another array."""
+    signs = _scratch("signs", (len(pair_tails),) + head_rows.shape[1:], head_rows.dtype)
+    for lo, hi, block in _residual_blocks(
+        head_rows, head_inverse, params.entity_emb[pair_tails]
+    ):
+        np.sign(block, out=signs[lo:hi])
+    return signs
 
 
 def posterior_from_scores(

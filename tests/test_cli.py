@@ -467,6 +467,29 @@ class TestExitCodes:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize("command", ["evaluate", "rationalize"])
+    def test_non_finite_checkpoint_is_data_error(
+        self, workspace, tmp_path, capsys, command
+    ):
+        # Written by save_checkpoint, so every checksum matches.
+        checkpoint = load_checkpoint(str(workspace["model"]))
+        checkpoint.params.entity_emb[...] = math.nan
+        model = tmp_path / "nan.bin"
+        save_checkpoint(
+            str(model), checkpoint.params, checkpoint.vocab, checkpoint.config,
+            state=checkpoint.state,
+        )
+        head, tail = load_split(workspace, "test")[0]
+        argv = {
+            "evaluate": ["--pairs", str(workspace["splits"] / "test.tsv")],
+            "rationalize": ["--head", head, "--tail", tail],
+        }[command]
+        code, out, err = run([command, "--model", str(model)] + argv, capsys)
+        assert code == 2
+        assert err.startswith("data error:") and "'entity_emb'" in err
+        assert "non-finite" in err and "Traceback" not in err
+        assert out == ""
+
     def test_corrupt_checkpoint(self, workspace, tmp_path, capsys):
         payload = bytearray(workspace["model"].read_bytes())
         payload[-1] ^= 0xFF

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,4 +243,34 @@ class TestCheckpoint:
         path = tmp_path / "not.ckpt"
         path.write_text('{"format": "something-else"}\n')
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "moment, name, value",
+        [
+            (None, "entity_emb", math.nan),
+            (None, "out_bias", math.inf),
+            ("m", "pair_weight", -math.inf),
+            ("v", "attn_vector", math.nan),
+        ],
+    )
+    def test_non_finite_tensor_names_it(self, tmp_path, moment, name, value):
+        # Written by save_checkpoint, so every checksum matches.
+        params = small_params(seed=4)
+        state = AdamState.for_params(params)
+        target = params.tensors()[name] if moment is None else getattr(state, moment)[name]
+        target.reshape(-1)[-1] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(str(path), params, Vocab([f"t{i}" for i in range(5)]), {}, state)
+        label = name if moment is None else f"adam {moment}[{name}]"
+        with pytest.raises(CheckpointError, match=re.escape(f"'{label}'")):
+            load_checkpoint(str(path))
+
+    def test_first_non_finite_tensor_is_named(self, tmp_path):
+        params = small_params(seed=4)
+        params.attn_bias[0] = math.nan
+        params.entity_emb[0, 0] = math.inf
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(str(path), params, Vocab([f"t{i}" for i in range(5)]), {})
+        with pytest.raises(CheckpointError, match="'entity_emb' holds non-finite"):
             load_checkpoint(str(path))

@@ -3,6 +3,8 @@ reports in open- and closed-world modes."""
 
 import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from relrec.graph import Vocab
 from relrec.params import ModelDims, init_params
 import relrec.rationale
+import relrec.relational
 from relrec.rationale import (
     CWA_MODE,
     OWA_MODE,
@@ -29,6 +32,7 @@ from relrec.rationale import (
     prediction_forward,
     rationalize_pair,
 )
+from relrec.recall import AssociationList
 from relrec.relational import (
     RelationPosterior,
     RelationSchema,
@@ -313,6 +317,168 @@ class TestFactoredKernelEquivalence:
         trace = prediction_forward(moved, 0, 8, 4, 3, structure=structure)
         assert trace.structure is structure
         self.check(moved, trace)
+
+
+def unblocked_grid(params, pair_heads, pair_tails, survivors=None):
+    """The whole (P, n_rel + 1, d) residual grid at once, and from it the
+    scores, NA scores, survivors, posterior, NA mass and residual signs:
+    the reference the blocked kernel must equal bit for bit."""
+    dims = params.dims
+    n_rel = dims.n_rel
+    rows = np.concatenate([np.arange(n_rel), [dims.na_index]])
+    E, R = params.entity_emb, params.relation_emb
+    residuals = E[pair_heads][:, None, :] + R[rows][None, :, :] - E[pair_tails][:, None, :]
+    all_scores = -np.abs(residuals).sum(axis=2)
+    scores, na_scores = all_scores[:, :n_rel], all_scores[:, n_rel]
+    if survivors is None:
+        survivors = scores > na_scores[:, None]
+    masked = np.where(survivors, scores, -np.inf)
+    m = np.maximum(masked.max(axis=1, initial=-np.inf), na_scores)
+    exp_fwd = np.exp(masked - m[:, None])
+    exp_na = np.exp(na_scores - m)
+    z = exp_na + exp_fwd.sum(axis=1)
+    return scores, na_scores, survivors, exp_fwd / z[:, None], exp_na / z, np.sign(residuals)
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestBlockedGrid:
+    """The L1 scores and the backward's residual signs are computed over
+    blocks of pairs.  With the block shrunk to BLOCK pairs, every pair
+    count around a block boundary gives the unblocked grid's scores,
+    survivors, posterior and signs bit for bit, and the same gradients as
+    one block."""
+
+    BLOCK = 4
+    # (n_head, n_tail): P = 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7.
+    GRIDS = [(1, 1), (3, 1), (2, 2), (1, 5), (1, 19)]
+    SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        dims = random_params(0).dims
+        pair_bytes = (dims.n_rel + 1) * dims.d * 8
+        monkeypatch.setattr(
+            relrec.relational, "_GRID_BLOCK_BYTES", self.BLOCK * pair_bytes
+        )
+
+    @staticmethod
+    def pair_list(seed, size):
+        # CWA-style: repeated heads and tails in no particular order.
+        rng = np.random.default_rng(seed)
+        return PredictionStructure(
+            rng.integers(0, 6, size) * 5, rng.integers(0, 30, size)
+        )
+
+    def check(self, params, trace, frozen=None):
+        structure = trace.structure
+        scores, na_scores, survivors, posterior, na_mass, signs = unblocked_grid(
+            params, structure.pair_heads, structure.pair_tails, frozen
+        )
+        assert_same_bits(trace.scores, scores)
+        assert_same_bits(trace.na_scores, na_scores)
+        assert_same_bits(structure.survivors, survivors)
+        assert_same_bits(trace.posterior, posterior)
+        assert_same_bits(trace.na_mass, na_mass)
+        # Right after the forward a one-block grid is reused from the block
+        # buffer; once dropped, it is recomputed block by block.
+        for _ in range(2):
+            assert_same_bits(
+                relrec.relational._residual_signs(
+                    params, trace.head_rows, trace.heads.inverse, structure.pair_tails
+                ),
+                signs,
+            )
+            relrec.relational._workspace.grid = None
+        # The trace keeps head + relation per distinct head, not the grid.
+        assert not hasattr(trace, "residuals")
+        assert trace.head_rows.shape == (
+            len(trace.heads.ids), params.dims.n_rel + 1, params.dims.d
+        )
+
+    def check_gradients(self, monkeypatch, params, trace):
+        blocked = prediction_backward(params, trace, 0.7)
+        monkeypatch.setattr(relrec.relational, "_GRID_BLOCK_BYTES", 1 << 30)
+        relrec.relational._workspace.grid = None
+        whole = prediction_backward(params, trace, 0.7)
+        assert set(blocked) == set(whole)
+        for name in whole:
+            assert_same_bits(blocked[name], whole[name])
+
+    @pytest.mark.parametrize("n_head, n_tail", GRIDS)
+    def test_owa_grid(self, small_blocks, monkeypatch, n_head, n_tail):
+        for seed in range(2):
+            params = random_params(seed)
+            trace = prediction_forward(params, 0, 8, n_head, n_tail)
+            assert len(trace.structure.pair_heads) == n_head * n_tail
+            self.check(params, trace)
+            self.check_gradients(monkeypatch, params, trace)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_cwa_pair_list(self, small_blocks, monkeypatch, size):
+        for seed in range(2):
+            params = random_params(seed)
+            trace = prediction_forward(
+                params, 0, 8, 4, 4, structure=self.pair_list(seed, size)
+            )
+            self.check(params, trace)
+            self.check_gradients(monkeypatch, params, trace)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_frozen_survivors(self, small_blocks, monkeypatch, size):
+        structure = prediction_forward(
+            random_params(5), 0, 8, 4, 4, structure=self.pair_list(size, size)
+        ).structure
+        moved = random_params(6)
+        trace = prediction_forward(moved, 0, 8, 4, 4, structure=structure)
+        assert trace.structure is structure
+        self.check(moved, trace, frozen=structure.survivors)
+        self.check_gradients(monkeypatch, moved, trace)
+
+    @pytest.mark.parametrize("n_tail", [1, 19])
+    def test_interleaved_traces_keep_their_gradients(self, small_blocks, n_tail):
+        # A backward after another query's forward must not take that
+        # query's grid from the block buffer.
+        params = random_params(2)
+        first = prediction_forward(params, 0, 8, 1, n_tail)
+        expected = prediction_backward(params, first, 0.7)
+        for head, tail in [(3, 9), (0, 8)]:
+            prediction_forward(params, head, tail, 1, n_tail)
+            grads = prediction_backward(params, first, 0.7)
+            for name in expected:
+                assert_same_bits(grads[name], expected[name])
+
+    def test_float32_grid(self, small_blocks):
+        params = random_params(3)
+        for name, tensor in params.tensors().items():
+            setattr(params, name, tensor.astype(np.float32))
+        trace = prediction_forward(params, 0, 8, 1, 19)
+        self.check(params, trace)
+
+    def test_forward_peak_memory_below_one_grid(self):
+        # One large-scale forward (d = 128, P = 32 x 32 = 1024) on a fresh
+        # thread, so its scratch block is allocated inside the measurement.
+        params = init_params(ModelDims.square(128, 4), 200, seed=0)
+        grid_bytes = 1024 * (params.dims.n_rel + 1) * params.dims.d * 8
+        result = {}
+
+        def forward():
+            tracemalloc.start()
+            try:
+                result["trace"] = prediction_forward(params, 0, 1, 32, 32)
+                result["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=forward)
+        thread.start()
+        thread.join()
+        assert len(result["trace"].structure.pair_heads) == 1024
+        assert result["peak"] < grid_bytes
 
 
 class TestSingleRowHelpersMatchKernel:
@@ -693,6 +859,54 @@ class TestCwa:
         )
         kept = cwa_rationales(params, kb, 0, 1, 2, 2)
         assert len(kept) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([np.float64, np.float32]),
+        st.integers(0, 60),
+    )
+    def test_matches_pair_loop_oracle(self, seed, dtype, n_triples):
+        # The n_head x n_tail loop over kb.has_pair, sorted by
+        # (-retrieval, head, tail) with Python float products.  Few
+        # distinct probabilities force retrieval ties; some kb ids lie
+        # beyond every association, and some associations beyond the kb.
+        rng = np.random.default_rng(seed)
+        values = np.array([0.5, 0.3, 0.1, 0.0, 0.7], dtype=dtype)
+        head_assoc, tail_assoc = (
+            AssociationList(
+                entity=-1,
+                entity_ids=rng.permutation(14)[:n].astype(np.int64),
+                probabilities=values[rng.integers(0, 5, n)],
+            )
+            for n in rng.integers(1, 9, 2)
+        )
+        kb = TripleSet(triples=[
+            (int(h), 0, int(t)) for h, t in rng.integers(0, 12, (n_triples, 2))
+        ])
+        expected = [
+            (ha, ta, hp * tp)
+            for ha, hp in head_assoc
+            for ta, tp in tail_assoc
+            if kb.has_pair(ha, ta)
+        ]
+        expected.sort(key=lambda c: (-c[2], c[0], c[1]))
+        kept = cwa_rationales(
+            None, kb, 0, 1, 8, 8, associations=(head_assoc, tail_assoc)
+        )
+        assert [(p.assoc_head, p.assoc_tail, p.retrieval) for p in kept] == expected
+        for p in kept:
+            assert type(p.assoc_head) is int and type(p.retrieval) is float
+
+    def test_has_pairs_matches_has_pair(self):
+        kb = TripleSet(triples=[(0, 0, 1), (7, 1, 0), (3, 0, 3), (7, 0, 0)])
+        heads, tails = np.meshgrid(np.arange(-2, 10), np.arange(-2, 10), indexing="ij")
+        found = kb.has_pairs(heads, tails)
+        expected = [[kb.has_pair(h, t) for t in range(-2, 10)] for h in range(-2, 10)]
+        assert found.tolist() == expected
+        assert not TripleSet(triples=[]).has_pairs([0, 1], [1, 0]).any()
+        with pytest.raises(ValueError, match="entity ids"):
+            TripleSet(triples=[(-1, 0, 2)]).has_pairs([0], [2])
 
     def test_report_contains_only_kb_triples(self):
         params = self.build_retrieval_world()

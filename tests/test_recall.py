@@ -1,10 +1,15 @@
 """Association recall: retrieval distribution, top associations, loss."""
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import relrec.recall
 from relrec.graph import CoocGraph, Vocab, compute_ppmi
 from relrec.params import ModelDims, init_params
 from relrec.recall import association_probability, recall_loss, top_associations
@@ -89,6 +94,67 @@ class TestTopAssociations:
         params = zeroed_params(vocab_size=4, d=2)
         with pytest.raises(ValueError):
             top_associations(params, 0, 0)
+
+
+def stable_argsort_top(probs, entity, n):
+    """The selection rule as a full stable sort: every entity but the
+    queried one, by descending probability, ties by ascending id."""
+    ids = np.arange(len(probs))
+    keep = ids != entity
+    order = np.argsort(-probs[keep], kind="stable")[:n]
+    return ids[keep][order], probs[keep][order]
+
+
+# Few distinct values, so that ties are common; 0.0 and -0.0 compare equal.
+PROB_VALUES = [0.0, -0.0, 1e-300, 0.125, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def selection_cases(draw):
+    """(probs, entity, n): ties forced at the n-th selected value, and
+    sometimes at the queried entity too."""
+    size = draw(st.integers(2, 40))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    probs = np.array(
+        draw(st.lists(st.sampled_from(PROB_VALUES), min_size=size, max_size=size)),
+        dtype=dtype,
+    )
+    entity = draw(st.integers(0, size - 1))
+    n = draw(st.integers(1, size + 2))
+    _, top = stable_argsort_top(probs, entity, n)
+    if len(top):
+        tied = draw(st.lists(st.integers(0, size - 1), max_size=4))
+        if draw(st.booleans()):
+            tied.append(entity)
+        probs[tied] = top[-1]
+    return probs, entity, n
+
+
+class TestTopAssociationsSelection:
+    """Selection by partition returns exactly the first n entries of a
+    stable argsort of the negated probabilities."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(selection_cases())
+    @example((np.full(5, 0.2), 2, 3))  # ties straddle the n-th value
+    @example((np.array([0.1, 0.3, 0.3, 0.3, 0.0]), 2, 1))  # entity inside the tie
+    @example((np.full(6, math.nan), 0, 2))  # a diverged model
+    @example((np.array([math.nan, 0.5, math.inf, -math.inf, 0.5, math.nan]), 4, 3))
+    @example((np.array([0.4, 0.6]), 0, 1))  # V = 2
+    @example((np.array([0.6, 0.4]), 0, 5))  # n above V - 1
+    @example((np.array([0.3, 0.3, 0.4]), 2, 2))  # n = V - 1
+    def test_matches_stable_argsort(self, case):
+        probs, entity, n = case
+        with mock.patch.object(
+            relrec.recall, "association_probability", lambda params, e: probs.copy()
+        ):
+            assoc = top_associations(SimpleNamespace(vocab_size=len(probs)), entity, n)
+        ids, values = stable_argsort_top(probs, entity, n)
+        assert assoc.entity == entity
+        assert assoc.entity_ids.dtype == ids.dtype
+        assert assoc.entity_ids.tolist() == ids.tolist()
+        assert assoc.probabilities.dtype == values.dtype
+        assert assoc.probabilities.tobytes() == values.tobytes()
 
 
 class TestRecallLoss:
