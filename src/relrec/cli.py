@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .evaluation import (
+    SPLIT_RATIOS,
     DataError,
     check_rule_file,
     f1_score,
@@ -169,44 +170,30 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return parts  # validity is checked by split_dataset
 
 
-TRAIN_DEFAULTS = {
-    "graph": None,
-    "triples": None,
-    "pairs": None,
-    "out": None,
-    "log": None,
-    "splits_out": None,
-    "relation": None,
-    "ratios": "0.7,0.15,0.15",
-    "dim": 128,
-    "n_neg": 100,
-    "n_assoc": 32,
-    "lr": 1e-3,
-    "b1": 256,
-    "b2": 256,
-    "b3": 256,
-    "epochs": 200,
-    "patience": 10,
-    "seed": 0,
+def _set_fields(cfg: dict, fields: dict[str, str]) -> dict:
+    """The values a flag or the config file set, keyed by the field name
+    that `fields` maps each option name to; unset options are left out,
+    so the callee's own defaults apply."""
+    return {name: cfg[key] for key, name in fields.items() if cfg[key] is not None}
+
+
+# `relrec train` option -> TrainConfig field.
+TRAIN_FIELDS = {
+    "dim": "d", "n_neg": "n_neg", "n_assoc": "n_assoc", "lr": "lr", "b1": "b1",
+    "b2": "b2", "b3": "b3", "epochs": "max_epochs", "patience": "patience",
+    "seed": "seed",
 }
+TRAIN_DEFAULTS = dict.fromkeys(
+    ("graph", "triples", "pairs", "out", "log", "splits_out", "relation", "ratios",
+     *TRAIN_FIELDS)
+)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, TRAIN_DEFAULTS)
     _require(cfg, "graph", "triples", "pairs", "out")
     try:
-        train_config = TrainConfig(
-            d=cfg["dim"],
-            n_neg=cfg["n_neg"],
-            n_assoc=cfg["n_assoc"],
-            lr=cfg["lr"],
-            b1=cfg["b1"],
-            b2=cfg["b2"],
-            b3=cfg["b3"],
-            max_epochs=cfg["epochs"],
-            patience=cfg["patience"],
-            seed=cfg["seed"],
-        )
+        train_config = TrainConfig(**_set_fields(cfg, TRAIN_FIELDS))
     except ValueError as exc:
         raise UsageError(f"invalid training option: {exc}") from None
     graph = load_cooc_graph(cfg["graph"])
@@ -230,9 +217,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not pairs:
         raise DataError(f"no labeled pairs for relation {schema.names[target]!r}")
 
-    ratios = _parse_ratios(cfg["ratios"])
+    ratios = SPLIT_RATIOS if cfg["ratios"] is None else _parse_ratios(cfg["ratios"])
     train_pairs, dev_pairs, test_pairs = split_dataset(
-        pairs, ratios=ratios, seed=cfg["seed"]
+        pairs, ratios=ratios, seed=train_config.seed
     )
 
     # Only training-split positives may seed the relational stage for the
@@ -312,11 +299,13 @@ def _predict_many(params, pairs, n_head, n_tail, threads: int) -> np.ndarray:
 
 def _load_model(path: str):
     """A checkpoint and what serving takes from its config: (checkpoint,
-    schema, target relation id, n_head, n_tail).  Serving always has the
-    NA row in the posterior normalizer, so a checkpoint whose training
-    config says `include_na` is anything but true (it was trained
-    without NA) is refused; absent, as in newer checkpoints, means
-    true."""
+    schema, target relation id, n_assoc).  What training used is what
+    serving uses.  Serving always has the NA row in the posterior
+    normalizer, so a checkpoint whose training config says `include_na`
+    is anything but true (it was trained without NA) is refused; absent,
+    as in newer checkpoints, means true.  Likewise both sides recall
+    n_assoc associations, so older checkpoints whose `n_assoc_head` or
+    `n_assoc_tail` differs from n_assoc are refused."""
     checkpoint = load_checkpoint(path)
 
     def field(table: dict, name: str, kind: type):
@@ -336,6 +325,14 @@ def _load_model(path: str):
             f"{train['include_na']!r}: the model was trained without the NA "
             "row in the posterior normalizer, which relrec does not serve"
         )
+    n_assoc = field(train, "n_assoc", int)
+    for side in ("n_assoc_head", "n_assoc_tail"):
+        if train.get(side, n_assoc) != n_assoc:
+            raise CheckpointError(
+                f"{path}: checkpoint config field {side!r} is {train[side]!r}, "
+                f"not n_assoc ({n_assoc}): relrec serves one association "
+                "count on both sides"
+            )
     try:
         schema = RelationSchema(names=tuple(field(meta, "relations", list)))
     except (TypeError, ValueError) as exc:  # duplicate, reserved or unhashable
@@ -346,8 +343,7 @@ def _load_model(path: str):
         checkpoint,
         schema,
         _relation_index(schema, field(meta, "target_relation", str)),
-        field(train, "n_assoc_head", int),
-        field(train, "n_assoc_tail", int),
+        n_assoc,
     )
 
 
@@ -358,7 +354,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     if not 0.0 <= cfg["threshold"] <= 1.0:  # also refuses nan
         raise UsageError(f"--threshold must be in [0, 1], got {cfg['threshold']}")
-    checkpoint, schema, target, n_head, n_tail = _load_model(cfg["model"])
+    checkpoint, schema, target, n_assoc = _load_model(cfg["model"])
     target_name = schema.names[target]
     pairs = [
         p
@@ -370,7 +366,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"no pairs for the model's target relation "
             f"{target_name!r} in {cfg['pairs']}"
         )
-    probs = _predict_many(checkpoint.params, pairs, n_head, n_tail, cfg["threads"])
+    probs = _predict_many(checkpoint.params, pairs, n_assoc, n_assoc, cfg["threads"])
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     precision, recall, f1 = f1_score(probs, labels, threshold=cfg["threshold"])
     if cfg["dump"]:
@@ -420,7 +416,7 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         raise UsageError(f"--mode must be owa or cwa, got {cfg['mode']!r}")
     if cfg["topk"] < 1:
         raise UsageError(f"--topk must be >= 1, got {cfg['topk']}")
-    checkpoint, schema, target, n_head, n_tail = _load_model(cfg["model"])
+    checkpoint, schema, target, n_assoc = _load_model(cfg["model"])
     relation = target
     if cfg["relation"]:
         relation = _relation_index(schema, cfg["relation"])
@@ -438,8 +434,8 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         head,
         tail,
         relation,
-        n_head=n_head,
-        n_tail=n_tail,
+        n_head=n_assoc,
+        n_tail=n_assoc,
         top_k=cfg["topk"],
         mode=mode,
         kb=kb,
@@ -449,28 +445,18 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-SYNTH_DEFAULTS = {
-    "out": None,
-    "entities": 300,
-    "clusters": 6,
-    "relations": 4,
-    "density": 0.3,
-    "noise": 0.05,
-    "seed": 0,
+# `relrec synth` option -> generate_synthetic parameter.
+SYNTH_FIELDS = {
+    "entities": "n_entities", "clusters": "n_clusters", "relations": "n_rel",
+    "density": "density", "noise": "noise", "seed": "seed",
 }
+SYNTH_DEFAULTS = dict.fromkeys(("out", *SYNTH_FIELDS))
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, SYNTH_DEFAULTS)
     _require(cfg, "out")
-    world = generate_synthetic(
-        n_entities=cfg["entities"],
-        n_clusters=cfg["clusters"],
-        n_rel=cfg["relations"],
-        density=cfg["density"],
-        noise=cfg["noise"],
-        seed=cfg["seed"],
-    )
+    world = generate_synthetic(**_set_fields(cfg, SYNTH_FIELDS))
     paths = write_synthetic_dataset(world, cfg["out"])
     mismatches = check_rule_file(cfg["out"])
     if mismatches:
@@ -569,6 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         GraphFormatError,
         CheckpointError,
         FileNotFoundError,
+        IsADirectoryError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -67,16 +67,21 @@ def _allocate(n: int, ratios: tuple[float, ...]) -> list[int]:
     return base
 
 
+SPLIT_RATIOS = (0.7, 0.15, 0.15)
+
+
 def split_dataset(
     pairs: list[LabeledPair],
-    ratios: tuple[float, float, float] = (0.7, 0.15, 0.15),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> tuple[list[LabeledPair], list[LabeledPair], list[LabeledPair]]:
     """Seeded stratified train/dev/test split.  Each label stratum is
     shuffled and allocated by largest remainder, so the positive:negative
     ratio of every split matches the input within one sample."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise DataError("ratios must be three non-negative numbers")
+    if len(ratios) != 3 or not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise DataError(
+            f"ratios must be three finite non-negative numbers, got {list(ratios)}"
+        )
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
     if not pairs:
@@ -233,6 +238,13 @@ class SyntheticWorld:
         return out
 
 
+# Shape of a generated world beyond the generator's parameters.
+SIGNAL_EDGE_PROB = 0.8
+SIGNAL_COUNT_MEAN = 8.0
+NOISE_COUNT_MEAN = 1.0
+TRIPLES_PER_RULE_EDGE = 120
+
+
 def generate_synthetic(
     n_entities: int = 300,
     n_clusters: int = 6,
@@ -240,20 +252,17 @@ def generate_synthetic(
     density: float = 0.3,
     noise: float = 0.05,
     seed: int = 0,
-    *,
-    signal_edge_prob: float = 0.8,
-    signal_count_mean: float = 8.0,
-    noise_count_mean: float = 1.0,
-    triples_per_rule_edge: int = 120,
 ) -> SyntheticWorld:
     """Generate a seeded synthetic world.
 
     density is the fraction of ordered, non-diagonal cluster pairs that
     the rule covers; noise is the probability that a non-rule-linked
-    entity pair still receives a (small) co-occurrence count.  Signal
-    counts are drawn as 3 + Poisson(signal_count_mean), noise counts as
-    1 + Poisson(noise_count_mean), so rule-linked pairs have much larger
-    counts in expectation.
+    entity pair still receives a (small) co-occurrence count.  A
+    rule-linked pair gets a count with probability SIGNAL_EDGE_PROB.
+    Signal counts are drawn as 3 + Poisson(SIGNAL_COUNT_MEAN), noise
+    counts as 1 + Poisson(NOISE_COUNT_MEAN), so rule-linked pairs have
+    much larger counts in expectation.  Each rule edge contributes up to
+    TRIPLES_PER_RULE_EDGE relation triples.
     """
     if n_clusters < 2 or n_entities < n_clusters:
         raise DataError("need n_entities >= n_clusters >= 2")
@@ -340,11 +349,11 @@ def generate_synthetic(
         clusters[ju], clusters[iu]
     ]
     draws = rng.random(len(iu))
-    signal_edges = linked & (draws < signal_edge_prob)
+    signal_edges = linked & (draws < SIGNAL_EDGE_PROB)
     noise_edges = ~linked & (draws < noise)
     counts: dict[tuple[int, int], int] = {}
-    signal_counts = 3 + rng.poisson(signal_count_mean, size=int(signal_edges.sum()))
-    noise_counts = 1 + rng.poisson(noise_count_mean, size=int(noise_edges.sum()))
+    signal_counts = 3 + rng.poisson(SIGNAL_COUNT_MEAN, size=int(signal_edges.sum()))
+    noise_counts = 1 + rng.poisson(NOISE_COUNT_MEAN, size=int(noise_edges.sum()))
     for edges, drawn in ((signal_edges, signal_counts), (noise_edges, noise_counts)):
         counts.update(zip(zip(iu[edges].tolist(), ju[edges].tolist()), drawn.tolist()))
     if not counts:
@@ -361,7 +370,7 @@ def generate_synthetic(
         total = len(heads) * len(tails)
         if total == 0:
             continue
-        take = min(triples_per_rule_edge, total)
+        take = min(TRIPLES_PER_RULE_EDGE, total)
         flat = rng.choice(total, size=take, replace=False)
         for f in flat.tolist():
             triples.append(

@@ -27,6 +27,7 @@ the same bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import itertools
@@ -221,10 +222,19 @@ def _check_merged_counts_fit(counts: np.ndarray, starts: np.ndarray) -> None:
         raise GraphFormatError("a summed pair count does not fit in 64 bits")
 
 
+@contextlib.contextmanager
 def _open_text(path: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    """A text file, gunzipped when its name ends in .gz.  Bytes that are
+    not (gzipped) UTF-8 raise GraphFormatError naming the path, whether
+    on opening or while the caller reads."""
+    gz = str(path).endswith(".gz")
+    try:
+        with (gzip.open(path, "rt", encoding="utf-8") if gz
+              else open(path, "r", encoding="utf-8")) as fh:
+            yield fh
+    except (gzip.BadGzipFile, EOFError, UnicodeDecodeError) as exc:
+        kind = "gzipped UTF-8" if gz else "UTF-8"
+        raise GraphFormatError(f"{path}: not {kind} text: {exc}") from None
 
 
 def _split_chunk(text: str) -> tuple[list[str], np.ndarray] | None:

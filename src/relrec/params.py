@@ -196,7 +196,9 @@ def init_params(
 @dataclass
 class AdamState:
     """Per-tensor Adam moments.  Each tensor advances its own step count,
-    because the staged losses update disjoint tensor subsets."""
+    because the staged losses update disjoint tensor subsets.  β1, β2 and
+    ε keep the defaults of Kingma & Ba (2015); checkpoints store them
+    with lr."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -207,15 +209,8 @@ class AdamState:
     steps: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def for_params(
-        cls,
-        params: ModelParams,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: ModelParams, lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, tensor in params.tensors().items():
             state.m[name] = np.zeros_like(tensor)
             state.v[name] = np.zeros_like(tensor)

@@ -46,26 +46,21 @@ class TrainingDivergedError(RuntimeError):
 class TrainConfig:
     """Hyperparameters for joint training.
 
-    n_assoc is the default association count; the head/tail counts used
-    by the prediction pipeline default to it when left as None.  The
-    three batch sizes b1/b2/b3 feed the recall, relational, and
-    prediction stages respectively.  Losses are computed in float64 by
-    default ("float32" is accepted for the dtype).  Every epoch runs all
-    three stages, and the relation posterior always has the NA row in its
-    normalizer; neither is a setting.
+    d is the width of every embedding and projection (the model is
+    square: `ModelDims.square`).  n_assoc is the association count of
+    both the head and the tail side.  The three batch sizes b1/b2/b3
+    feed the recall, relational, and prediction stages respectively.
+    Adam takes lr from here and its β1, β2 and ε from `AdamState`, whose
+    defaults are those of Kingma & Ba (2015).  Losses are computed in
+    float64 by default ("float32" is accepted for the dtype).  Every
+    epoch runs all three stages, and the relation posterior always has
+    the NA row in its normalizer; neither is a setting.
     """
 
     d: int = 128
-    d_p: int | None = None
-    d_a: int | None = None
     n_neg: int = 100
     n_assoc: int = 32
-    n_assoc_head: int | None = None
-    n_assoc_tail: int | None = None
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     b1: int = 256
     b2: int = 256
     b3: int = 256
@@ -75,16 +70,7 @@ class TrainConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        if self.d_p is None:
-            self.d_p = self.d
-        if self.d_a is None:
-            self.d_a = self.d_p
-        if self.n_assoc_head is None:
-            self.n_assoc_head = self.n_assoc
-        if self.n_assoc_tail is None:
-            self.n_assoc_tail = self.n_assoc
-        for name in ("d", "d_p", "d_a", "n_neg", "n_assoc", "n_assoc_head",
-                     "n_assoc_tail", "b1", "b2", "b3", "max_epochs",
+        for name in ("d", "n_neg", "n_assoc", "b1", "b2", "b3", "max_epochs",
                      "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be >= 1")
@@ -96,7 +82,7 @@ class TrainConfig:
             raise ValueError("dtype must be float64 or float32")
 
     def dims(self, n_rel: int) -> ModelDims:
-        return ModelDims(d=self.d, d_p=self.d_p, d_a=self.d_a, n_rel=n_rel)
+        return ModelDims.square(self.d, n_rel)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -232,9 +218,7 @@ def joint_train(
     dims = config.dims(schema.n_rel)
     dtype = np.dtype(config.dtype)
     params = init_params(dims, len(graph.vocab), seed=config.seed, dtype=dtype)
-    state = AdamState.for_params(
-        params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps
-    )
+    state = AdamState.for_params(params, lr=config.lr)
 
     support = ppmi.entities_with_support()
     if len(support) == 0:
@@ -295,14 +279,14 @@ def joint_train(
             sl = order[step * config.b3 : (step + 1) * config.b3]
             batch_pairs = [train_pairs[i] for i in sl]
             loss, grads, _ = prediction_loss(
-                params, batch_pairs, config.n_assoc_head, config.n_assoc_tail
+                params, batch_pairs, config.n_assoc, config.n_assoc
             )
             _check_finite(loss, "prediction", epoch)
             adam_step(params, grads, state)
             sums["prediction"] += loss / len(batch_pairs)
 
         dev_probs = predict_probabilities(
-            params, dev_pairs, config.n_assoc_head, config.n_assoc_tail
+            params, dev_pairs, config.n_assoc, config.n_assoc
         )
         dev_precision, dev_recall, dev_f1 = f1_score(dev_probs, dev_labels)
         log.append(

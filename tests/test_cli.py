@@ -1,6 +1,8 @@
 """Command-line interface: subcommand pipeline, config merging, and
 exit-code mapping."""
 
+import dataclasses
+import gzip
 import json
 import math
 import os
@@ -9,9 +11,10 @@ import pytest
 
 import relrec.cli
 from relrec.cli import main
-from relrec.evaluation import load_pairs_tsv
+from relrec.evaluation import DataError, load_pairs_tsv
 from relrec.params import load_checkpoint, save_checkpoint
 from relrec.relational import RelationSchema
+from relrec.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +283,51 @@ class TestConfigFile:
         assert code == 1
         assert "unknown key(s): threads" in err
 
+    # One option per TrainConfig field but dtype (ROADMAP item 3), each
+    # set to a value other than the field's default.
+    TRAIN_OPTIONS = {"dim": 3, "n_neg": 4, "n_assoc": 5, "lr": 0.5, "b1": 6,
+                     "b2": 7, "b3": 8, "epochs": 9, "patience": 11, "seed": 12}
+
+    @pytest.mark.parametrize("source", ["none", "flags", "file"])
+    def test_every_train_config_field_is_settable(
+        self, tmp_path, monkeypatch, capsys, source
+    ):
+        built = []
+
+        class Recording(TrainConfig):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append(self)
+
+        def stop(path):
+            raise DataError("stopped before reading the graph")
+
+        monkeypatch.setattr(relrec.cli, "TrainConfig", Recording)
+        monkeypatch.setattr(relrec.cli, "load_cooc_graph", stop)
+        argv = ["train", "--graph", "g.tsv", "--triples", "t.tsv",
+                "--pairs", "p.tsv", "--out", str(tmp_path / "m.bin")]
+        if source == "flags":
+            for key, value in self.TRAIN_OPTIONS.items():
+                argv += [f"--{key.replace('_', '-')}", str(value)]
+        elif source == "file":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(self.TRAIN_OPTIONS))
+            argv += ["--config", str(config)]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "stopped before reading the graph" in err
+        (config,) = built
+        if source == "none":
+            assert config.to_dict() == TrainConfig().to_dict()
+        else:
+            at_default = [f.name for f in dataclasses.fields(TrainConfig)
+                          if getattr(config, f.name) == f.default]
+            assert at_default == ["dtype"]
+
+    def test_cli_states_no_training_or_generator_default(self):
+        # TrainConfig and generate_synthetic state their own defaults.
+        assert set(relrec.cli.TRAIN_DEFAULTS.values()) == {None}
+        assert set(relrec.cli.SYNTH_DEFAULTS.values()) == {None}
+
     def test_missing_config_file_is_data_error(self, workspace, tmp_path, capsys):
         code, out, err = run(
             ["synth", "--config", str(tmp_path / "nope.json"),
@@ -326,6 +374,61 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in err
+
+    def test_nan_ratio(self, workspace, capsys):
+        data = workspace["data"]
+        code, out, err = run(
+            ["train", "--graph", str(data / "graph.tsv"),
+             "--triples", str(data / "triples.tsv"),
+             "--pairs", str(data / "pairs.tsv"),
+             "--out", "/tmp/never.bin", "--relation", "rel_0",
+             "--ratios", "nan,0.5,0.5"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:") and "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, option, kind",
+        [("train", "graph", "directory"), ("evaluate", "model", "directory"),
+         ("rationalize", "model", "directory"), ("train", "graph", "bad-gzip"),
+         ("train", "graph", "truncated-gzip"), ("train", "graph", "utf16-bom"),
+         ("train", "triples", "utf16-bom"), ("train", "pairs", "utf16-bom")],
+    )
+    def test_unreadable_input_is_data_error(
+        self, workspace, tmp_path, capsys, command, option, kind
+    ):
+        data = workspace["data"]
+        if kind == "directory":
+            bad = tmp_path / "dir"
+            bad.mkdir()
+        elif kind == "bad-gzip":
+            bad = tmp_path / "graph.tsv.gz"
+            bad.write_bytes(b"not gzip at all\n")
+        elif kind == "truncated-gzip":
+            bad = tmp_path / "graph.tsv.gz"
+            packed = gzip.compress((data / "graph.tsv").read_bytes())
+            bad.write_bytes(packed[: len(packed) // 2])
+        else:
+            bad = tmp_path / f"{option}.tsv"
+            bad.write_bytes(b"\xff\xfe" + (data / f"{option}.tsv").read_bytes())
+        head, tail = load_split(workspace, "test")[0]
+        argv = {
+            "train": ["--graph", str(data / "graph.tsv"),
+                      "--triples", str(data / "triples.tsv"),
+                      "--pairs", str(data / "pairs.tsv"),
+                      "--out", str(tmp_path / "m.bin"), "--relation", "rel_0"],
+            "evaluate": ["--model", str(workspace["model"]),
+                         "--pairs", str(workspace["splits"] / "test.tsv")],
+            "rationalize": ["--model", str(workspace["model"]),
+                            "--head", head, "--tail", tail],
+        }[command]
+        argv[argv.index(f"--{option}") + 1] = str(bad)
+        code, out, err = run([command, *argv], capsys)
+        assert code == 2
+        assert err.startswith("data error:") and str(bad) in err
+        assert "Traceback" not in err
 
     def test_multi_relation_pairs_need_choice(self, workspace, capsys):
         data = workspace["data"]
@@ -467,6 +570,38 @@ class TestExitCodes:
         )
         assert code == 0, err
 
+    def test_checkpoint_of_older_train_config_serves_identically(
+        self, workspace, tmp_path, capsys
+    ):
+        # Older checkpoints also record d_p, d_a, n_assoc_head,
+        # n_assoc_tail and Adam's beta1, beta2 and eps in config.train.
+        checkpoint = load_checkpoint(str(workspace["model"]))
+        config = json.loads(json.dumps(checkpoint.config))
+        train = config["train"]
+        train.update(d_p=train["d"], d_a=train["d"], n_assoc_head=train["n_assoc"],
+                     n_assoc_tail=train["n_assoc"], beta1=0.9, beta2=0.999, eps=1e-8)
+        older = tmp_path / "older.bin"
+        save_checkpoint(str(older), checkpoint.params, checkpoint.vocab, config,
+                        state=checkpoint.state)
+        head, tail = load_split(workspace, "test")[0]
+        outputs = []
+        for model in (workspace["model"], older):
+            dump = tmp_path / f"{model.stem}.tsv"
+            code, out, err = run(
+                ["evaluate", "--model", str(model), "--dump", str(dump),
+                 "--pairs", str(workspace["splits"] / "test.tsv")],
+                capsys,
+            )
+            assert code == 0, err
+            code, report, err = run(
+                ["rationalize", "--model", str(model), "--head", head,
+                 "--tail", tail],
+                capsys,
+            )
+            assert code == 0, err
+            outputs.append((dump.read_bytes(), out, report))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command", ["evaluate", "rationalize"])
     def test_non_finite_checkpoint_is_data_error(
         self, workspace, tmp_path, capsys, command
@@ -547,8 +682,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "path",
-        [("train",), ("relations",), ("target_relation",),
-         ("train", "n_assoc_head"), ("train", "n_assoc_tail")],
+        [("train",), ("relations",), ("target_relation",), ("train", "n_assoc")],
         ids=lambda path: ".".join(path),
     )
     @pytest.mark.parametrize("command", ["evaluate", "rationalize"])
@@ -578,7 +712,9 @@ class TestExitCodes:
         [("n_assoc_tail", 0), ("n_assoc_tail", "4"), ("n_assoc_tail", None),
          ("n_assoc_tail", 2.5), ("relations", []), ("relations", ["r", "r"]),
          ("relations", [["r"]]), ("relations", "rel_0"),
-         ("include_na", False), ("include_na", 0), ("include_na", "no")],
+         ("include_na", False), ("include_na", 0), ("include_na", "no"),
+         ("n_assoc", 0), ("n_assoc", "4"), ("n_assoc", None), ("n_assoc", 2.5),
+         ("n_assoc_head", 5)],
     )
     def test_checkpoint_config_field_invalid(
         self, workspace, tmp_path, capsys, field, value

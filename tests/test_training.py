@@ -110,13 +110,8 @@ class TestGradCheck:
 
 
 class TestTrainConfig:
-    def test_dimension_cascade(self):
-        config = TrainConfig(d=8)
-        assert config.d_p == 8 and config.d_a == 8
-        config = TrainConfig(d=8, d_p=4)
-        assert config.d_a == 4
-        config = TrainConfig(n_assoc=6)
-        assert config.n_assoc_head == 6 and config.n_assoc_tail == 6
+    def test_dims_are_square(self):
+        assert TrainConfig(d=8).dims(3) == ModelDims.square(8, 3)
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError, match="d"):
@@ -133,8 +128,8 @@ class TestTrainConfig:
 
     def test_to_dict_contains_resolved_values(self):
         d = TrainConfig(d=8, n_assoc=4).to_dict()
-        assert d["d_p"] == 8
-        assert d["n_assoc_head"] == 4
+        assert d["d"] == 8
+        assert d["n_assoc"] == 4
         assert d["dtype"] == "float64"
 
 
