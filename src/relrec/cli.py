@@ -196,6 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_config = TrainConfig(**_set_fields(cfg, TRAIN_FIELDS))
     except ValueError as exc:
         raise UsageError(f"invalid training option: {exc}") from None
+    ratios = SPLIT_RATIOS if cfg["ratios"] is None else _parse_ratios(cfg["ratios"])
     graph = load_cooc_graph(cfg["graph"])
     ppmi = compute_ppmi(graph)
     schema = RelationSchema(names=_relation_names_in_tsv(cfg["triples"]))
@@ -217,7 +218,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not pairs:
         raise DataError(f"no labeled pairs for relation {schema.names[target]!r}")
 
-    ratios = SPLIT_RATIOS if cfg["ratios"] is None else _parse_ratios(cfg["ratios"])
     train_pairs, dev_pairs, test_pairs = split_dataset(
         pairs, ratios=ratios, seed=train_config.seed
     )

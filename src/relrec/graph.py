@@ -409,19 +409,34 @@ def compute_ppmi(graph: CoocGraph) -> PpmiMatrix:
         raise ValueError("cannot compute PPMI of a graph with no edges")
     n = len(graph.vocab)
     m = graph.marginals
-    ratio = graph.counts * graph.total / (m[graph.lo] * m[graph.hi])
-    keep = np.flatnonzero(ratio > 1.0)
-    pmi = np.fromiter(map(math.log, memoryview(ratio[keep])), np.float64, len(keep))
+    ratio = graph.counts * graph.total
+    denominator = m[graph.lo]
+    denominator *= m[graph.hi]
+    ratio /= denominator
+    del denominator
+    keep = ratio > 1.0
+    pmi = ratio[keep]
+    del ratio
+    pmi = np.fromiter(map(math.log, memoryview(pmi)), np.float64, len(pmi))
     lo, hi = graph.lo[keep], graph.hi[keep]
-    # Row r is its lo-neighbours (edges with hi == r, ascending lo) and
-    # then its hi-neighbours (ascending hi): ascending id order.
-    rows = np.concatenate((hi, lo))
-    order = np.argsort(rows, kind="stable")
+    del keep
+    # Row r is its lower part, the lo of each edge with hi == r, then its
+    # upper part, the hi of each edge with lo == r: ascending ids.  The
+    # edges, sorted by (lo, hi), fill the upper parts in order; sorted
+    # stably by hi (a radix sort of narrow keys), they fill the lower parts.
+    order = np.argsort(hi.astype(np.min_scalar_type(n - 1)), kind="stable")
+    n_lower = np.bincount(hi, minlength=n)
+    n_upper = np.bincount(lo, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return PpmiMatrix(
-        n_entities=n,
-        indptr=indptr,
-        indices=np.concatenate((lo, hi))[order],
-        data=np.concatenate((pmi, pmi))[order],
-    )
+    np.cumsum(n_lower + n_upper, out=indptr[1:])
+    runs = np.stack([n_lower, n_upper], axis=1).ravel()
+    lower = np.repeat(np.tile([True, False], n), runs)
+    upper = ~lower
+    indices = np.empty(len(lower), dtype=np.int64)
+    indices[upper] = hi
+    indices[lower] = np.take(lo, order, out=hi)  # hi is placed: reuse it
+    del lo, hi
+    data = np.empty(len(lower))
+    data[upper] = pmi
+    data[lower] = pmi[order]
+    return PpmiMatrix(n_entities=n, indptr=indptr, indices=indices, data=data)

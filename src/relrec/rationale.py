@@ -232,7 +232,9 @@ def _attention(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attention hidden layer tanh(W e + b), logits v . hidden and their
     softmax over the pairs."""
-    hidden = np.tanh(pair_reprs @ params.attn_weight.T + params.attn_bias)
+    hidden = pair_reprs @ params.attn_weight.T
+    hidden += params.attn_bias
+    np.tanh(hidden, out=hidden)
     logits = hidden @ params.attn_vector
     return hidden, logits, stable_softmax(logits)
 

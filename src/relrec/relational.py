@@ -15,12 +15,23 @@ float64 gradients are the same bit for bit as a per-triple loop:
   of one `corrupt_triples` call per side and triple.  PCG64 keeps its
   spare 32-bit half in the generator state, so splitting a draw into
   calls, or merging calls into one draw, consumes the same stream.
-- Each gradient tensor is summed by one np.bincount over the rows of the
-  tail side (fixed entity, then candidates), then of the head side, in
-  the order of the np.add.at calls of the loop.  np.bincount adds its
-  weights sequentially in input order, as np.add.at does, so every sum
-  is taken in the same order.  The sums are taken in float64, so with
-  float32 parameters the last bit may differ from float32 accumulation.
+- No (B, n_neg + 1, d) tensor is held whole.  Each side streams blocks of
+  a few triple rows through per-thread buffers twice: once to score the
+  candidates, normalize them and sum the weighted residual signs over
+  candidates, and once more, recomputing the residuals, to scatter the
+  weighted signs.  A row's sums over d and over candidates and its
+  softmax depend on that row alone, and each is the same numpy reduction
+  of the same row as over the whole tensor, so it keeps its order.
+- The head side's residual is tail - relation - candidate, the negation
+  of candidate + relation - tail; IEEE rounding is symmetric, so the
+  negation is exact and both sides share one code path.
+- Each gradient is summed by np.add.at into one float64 array, in the
+  order of the loop's np.add.at calls: the tail side's fixed entities,
+  then its candidates, then the same for the head side.  np.add.at adds
+  sequentially in input order, so every sum is taken in the same order
+  however the rows are split into calls.  The sums are taken in float64,
+  so with float32 parameters the last bit may differ from float32
+  accumulation.
 """
 
 from __future__ import annotations
@@ -286,13 +297,17 @@ def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _residual_blocks(
-    head_rows: np.ndarray, head_inverse: np.ndarray, tail_emb: np.ndarray
+    head_rows: np.ndarray,
+    head_inverse: np.ndarray,
+    entity_emb: np.ndarray,
+    pair_tails: np.ndarray,
 ):
     """Residuals head + relation - tail of consecutive pair blocks.
 
     `head_rows` (U_h, R, d) holds head + relation per distinct head,
-    `head_inverse` (P,) each pair's row in it and `tail_emb` (P, d) each
-    pair's tail embedding.  Yields (lo, hi, block) with the residuals of
+    `head_inverse` (P,) each pair's row in it and `pair_tails` (P,) each
+    pair's tail id, whose embeddings are gathered one block at a time.
+    Yields (lo, hi, block) with the residuals of
     pairs lo:hi in `block`, this thread's block buffer, which callers
     must not write to.  A grid that fits in one block stays in the buffer
     until the next call: asked again for the same `head_rows` (a backward
@@ -312,7 +327,7 @@ def _residual_blocks(
         hi = min(lo + step, n_pairs)
         block = scratch[: hi - lo]
         np.take(head_rows, head_inverse[lo:hi], axis=0, out=block, mode="clip")
-        block -= tail_emb[lo:hi, None, :]
+        block -= entity_emb[pair_tails[lo:hi]][:, None, :]
         yield lo, hi, block
     if n_pairs <= step:
         _workspace.grid = (head_rows, block)
@@ -338,7 +353,7 @@ def _posterior_grid(
     n_pairs = len(pair_tails)
     all_scores = np.empty((n_pairs, len(rows)), dtype=head_rows.dtype)
     for lo, hi, block in _residual_blocks(
-        head_rows, heads.inverse, params.entity_emb[pair_tails]
+        head_rows, heads.inverse, params.entity_emb, pair_tails
     ):
         # A grid of one block is kept for the backward, so its magnitudes
         # go to another buffer; a larger grid is not kept.
@@ -368,7 +383,7 @@ def _residual_signs(
     np.sign in place runs several times slower than into another array."""
     signs = _scratch("signs", (len(pair_tails),) + head_rows.shape[1:], head_rows.dtype)
     for lo, hi, block in _residual_blocks(
-        head_rows, head_inverse, params.entity_emb[pair_tails]
+        head_rows, head_inverse, params.entity_emb, pair_tails
     ):
         np.sign(block, out=signs[lo:hi])
     return signs
@@ -398,13 +413,12 @@ def relation_posterior(params: ModelParams, head: int, tail: int) -> RelationPos
     )
 
 
-# Columns of a gradient tensor summed per np.bincount call.  The index and
-# value buffers each hold 2·B·C rows of this many columns, which is 16/d
-# of one side's (B, C, d) candidate tensor: half of it at d = 32, an
-# eighth at d = 128.  At 16 columns and d = 32 each buffer was slightly
-# larger than that tensor, and on the benchmark's quickstart workload
-# the call page-faulted 40% more and peak RSS rose by up to 2.4 MB.
-_SCATTER_COLUMNS = 8
+# Bytes of each per-thread buffer of the relational stage: the residuals
+# base - entity of a block of triple rows, their weighted signs, and the
+# scatter's values and flat indices, C x d entries per triple row.  At
+# large dims (C = 101, d = 128) a block holds 5 triple rows; one side's
+# whole (B, C, d) tensor at B = 256 is 26 MB in float64.
+_TRIPLE_BLOCK_BYTES = 1 << 19
 
 
 def _draw_corruptions(
@@ -441,61 +455,81 @@ def corrupt_triples(
     return [(head, relation, int(e)) for e in draws]
 
 
-def _scatter_rows(
-    n_rows: int, parts: list[tuple[np.ndarray, np.ndarray, bool]], dtype
-) -> np.ndarray:
-    """Sum value rows into an (n_rows, d) array of `dtype`.
+def _add_rows(acc: np.ndarray, offsets: np.ndarray, values: np.ndarray) -> None:
+    """Add each d-row of `values` to the flat float64 array `acc` from the
+    matching entry of `offsets` on, rows in row-major order.  np.add.at
+    adds sequentially in input order, as np.bincount would from zero, so
+    every sum keeps its order however the rows are split into calls."""
+    index = _scratch("triple_index", values.shape, np.int64)
+    np.add(offsets[..., None], np.arange(values.shape[-1]), out=index)
+    np.add.at(acc, index.reshape(-1), values.astype(np.float64, copy=False).reshape(-1))
 
-    Each part is (row ids, values with one d-row per id, negate).  Rows
-    are added in input order, part after part, as one np.add.at call per
-    part would add them, in float64, and rounded to `dtype` once.
+
+def _residual_rows(ent: np.ndarray, cand: np.ndarray, base: np.ndarray):
+    """Residuals base - ent[cand] of consecutive blocks of triple rows.
+
+    `cand` holds (B, C) candidate entity ids and `base` (B, d) each
+    triple's fixed side.  Yields (lo, hi, residual) with the (hi - lo, C, d)
+    residuals of rows lo:hi in this thread's block buffer, which the next
+    block overwrites.
     """
-    rows = np.concatenate([ids.reshape(-1) for ids, _, _ in parts])
-    d = parts[0][1].shape[-1]
-    out = np.empty((n_rows, d), dtype=dtype)
-    width = index = values = None
-    for start in range(0, d, _SCATTER_COLUMNS):
-        stop = min(start + _SCATTER_COLUMNS, d)
-        if stop - start != width:
-            width = stop - start
-            index = (rows[:, None] * width + np.arange(width)).reshape(-1)
-            values = np.empty((len(rows), width))
-        offset = 0
-        for _, part, negate in parts:
-            block = part.reshape(-1, d)[:, start:stop]
-            target = values[offset : offset + len(block)]
-            if negate:
-                np.negative(block, out=target)
-            else:
-                target[...] = block
-            offset += len(block)
-        sums = np.bincount(index, weights=values.reshape(-1), minlength=n_rows * width)
-        out[:, start:stop] = sums.reshape(n_rows, width)
-    return out
+    batch, n_cand = cand.shape
+    d = ent.shape[1]
+    step = max(1, _TRIPLE_BLOCK_BYTES // (n_cand * d * 8))
+    scratch = _scratch("triples", (min(step, batch), n_cand, d), ent.dtype)
+    for lo in range(0, batch, step):
+        hi = min(lo + step, batch)
+        block = scratch[: hi - lo]
+        np.take(ent, cand[lo:hi], axis=0, out=block, mode="clip")
+        np.subtract(base[lo:hi, None, :], block, out=block)
+        yield lo, hi, block
 
 
 def _side_terms(
-    ent: np.ndarray, cand: np.ndarray, base: np.ndarray, tail_side: bool
+    ent: np.ndarray, cand: np.ndarray, base: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sampled-softmax loss of one corruption side, the softmax-weighted
-    residual signs (B, C, d) and their sum over candidates (B, d)."""
-    residual = ent[cand]  # (B, C, d), reused for the residual and its abs
-    if tail_side:
-        # residual = head + relation - candidate_tail
-        np.subtract(base[:, None, :], residual, out=residual)
-    else:
-        # residual = candidate_head + relation - tail
-        residual += base[:, None, :]
-    weighted_sign = np.sign(residual)
-    scores = -np.abs(residual, out=residual).sum(axis=2)  # (B, C)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp_shifted = np.exp(shifted)
-    log_z = np.log(exp_shifted.sum(axis=1))
-    loss = float((log_z - shifted[:, 0]).sum())
-    weight = exp_shifted / np.exp(log_z)[:, None]  # softmax
-    weight[:, 0] -= 1.0
-    weighted_sign *= weight[:, :, None]
-    return loss, weighted_sign, weighted_sign.sum(axis=1)
+    """Sampled-softmax loss of one corruption side with residuals
+    u = base - ent[cand], gold first: the loss, the softmax weights minus
+    the gold indicator (B, C), and the weighted signs summed over
+    candidates (B, d), all in the dtype of `ent`."""
+    batch, n_cand = cand.shape
+    terms = np.empty(batch, dtype=ent.dtype)
+    weight = np.empty((batch, n_cand), dtype=ent.dtype)
+    summed = np.empty((batch, ent.shape[1]), dtype=ent.dtype)
+    for lo, hi, residual in _residual_rows(ent, cand, base):
+        sign = _scratch("triple_signs", residual.shape, ent.dtype)
+        np.sign(residual, out=sign)
+        scores = -np.abs(residual, out=residual).sum(axis=2)  # (rows, C)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        exp_shifted = np.exp(shifted)
+        log_z = np.log(exp_shifted.sum(axis=1))
+        terms[lo:hi] = log_z - shifted[:, 0]
+        rows = weight[lo:hi]
+        np.divide(exp_shifted, np.exp(log_z)[:, None], out=rows)  # softmax
+        rows[:, 0] -= 1.0
+        sign *= rows[:, :, None]
+        sign.sum(axis=1, out=summed[lo:hi])
+    return float(terms.sum()), weight, summed
+
+
+def _add_candidate_rows(
+    acc: np.ndarray,
+    ent: np.ndarray,
+    cand: np.ndarray,
+    base: np.ndarray,
+    weight: np.ndarray,
+) -> None:
+    """Add weight x sign(base - ent[cand]) of each candidate to its entity's
+    row of the flat float64 (V, d) `acc`, candidates in row-major order.
+    The residuals are recomputed block by block, as `_side_terms` formed
+    them.  Sign times weight is exact, so the float64 values equal the
+    products in the parameter dtype, and np.add.at takes its fast path."""
+    offsets = cand * ent.shape[1]
+    for lo, hi, residual in _residual_rows(ent, cand, base):
+        values = _scratch("triple_values", residual.shape, np.float64)
+        np.sign(residual, out=values)
+        values *= weight[lo:hi, :, None]
+        _add_rows(acc, offsets[lo:hi], values)
 
 
 def relational_loss(
@@ -522,10 +556,13 @@ def relational_loss(
     ids = np.asarray(triples, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != 3:
         raise ValueError("triples must be (head, relation, tail) rows")
-    heads, rels, tails = ids[:, 0], ids[:, 1], ids[:, 2]
-    rng = np.random.default_rng(seed)
     ent = params.entity_emb
     rel = params.relation_emb
+    limits = np.array([ent.shape[0], rel.shape[0], ent.shape[0]])
+    if np.any((ids < 0) | (ids >= limits)):
+        raise ValueError("triple ids out of range")
+    heads, rels, tails = ids[:, 0], ids[:, 1], ids[:, 2]
+    rng = np.random.default_rng(seed)
 
     draws = _draw_corruptions(
         np.stack([tails, heads], axis=1), n_neg, params.vocab_size, rng
@@ -534,26 +571,25 @@ def relational_loss(
     cand_heads = np.concatenate([heads[:, None], draws[:, 1]], axis=1)
 
     rel_rows = rel[rels]
-    loss_t, sign_t, summed_t = _side_terms(
-        ent, cand_tails, ent[heads] + rel_rows, tail_side=True
-    )
-    loss_h, sign_h, summed_h = _side_terms(
-        ent, cand_heads, rel_rows - ent[tails], tail_side=False
-    )
-    loss = loss_t + loss_h
-    # With residual u, d score/d(head) = d score/d(relation) = -sign(u)
-    # and d score/d(tail) = +sign(u).
-    grad_entity = _scatter_rows(
-        ent.shape[0],
-        [
-            (heads, summed_t, True),
-            (cand_tails, sign_t, False),
-            (tails, summed_h, False),
-            (cand_heads, sign_h, True),
-        ],
-        ent.dtype,
-    )
-    grad_relation = _scatter_rows(
-        rel.shape[0], [(rels, summed_t, True), (rels, summed_h, True)], rel.dtype
-    )
-    return loss, {"entity_emb": grad_entity, "relation_emb": grad_relation}
+    # Residual u = base - candidate, base = fixed + s * relation: s = +1 on
+    # the tail side, and s = -1 on the head side, whose residual is the
+    # negated head + relation - tail.  The score -|u| has d score = -sign(u)
+    # for the fixed entity, -s * sign(u) for the relation and +sign(u) for
+    # the candidate.
+    d = ent.shape[1]
+    grad_entity = np.zeros(ent.size)
+    grad_relation = np.zeros(rel.size)
+    loss = 0.0
+    for fixed, cand, base, s in (
+        (heads, cand_tails, ent[heads] + rel_rows, 1.0),
+        (tails, cand_heads, ent[tails] - rel_rows, -1.0),
+    ):
+        side_loss, weight, summed = _side_terms(ent, cand, base)
+        loss += side_loss
+        _add_rows(grad_entity, fixed * d, -summed)
+        _add_rows(grad_relation, rels * d, -s * summed)
+        _add_candidate_rows(grad_entity, ent, cand, base, weight)
+    return loss, {
+        "entity_emb": grad_entity.reshape(ent.shape).astype(ent.dtype, copy=False),
+        "relation_emb": grad_relation.reshape(rel.shape).astype(rel.dtype, copy=False),
+    }

@@ -362,6 +362,17 @@ class TestExitCodes:
         assert code == 1
         assert "usage error" in err
 
+    def test_bad_ratio_syntax_reported_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.tsv")
+        code, out, err = run(
+            ["train", "--graph", missing, "--triples", missing,
+             "--pairs", missing, "--out", str(tmp_path / "never.bin"),
+             "--ratios", "0.5,0.5"],
+            capsys,
+        )
+        assert code == 1
+        assert "ratios must be three comma-separated numbers" in err
+
     def test_bad_ratio_sum(self, workspace, capsys):
         data = workspace["data"]
         code, out, err = run(

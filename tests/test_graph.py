@@ -362,6 +362,37 @@ class TestArrayStoreEquivalence:
             i for i in range(len(terms)) if ppmi.row(i)[0].size
         ]
 
+    @pytest.mark.parametrize("n_terms", [200, 600])
+    def test_generated_graph_matches_oracle_within_memory_bound(
+        self, n_terms, traced_peak
+    ):
+        # A few thousand edges over more than 256 ids (the sort keys of
+        # the lower row parts widen to 16 bits), some ids without edges.
+        rng = np.random.default_rng(n_terms)
+        a = rng.integers(0, n_terms - 20, 5000)
+        b = rng.integers(0, n_terms - 20, 5000)
+        keep = a != b
+        counts = rng.integers(1, 1000, 5000)[keep]
+        vocab = Vocab([f"t{i}" for i in range(n_terms)])
+        graph = CoocGraph.from_edges(vocab, a[keep], b[keep], counts)
+        # Held: the CSR arrays and the per-row views of the result.
+        ppmi, peak, held = traced_peak(lambda: compute_ppmi(graph))
+        assert peak < 2.0 * held
+        edges = {
+            (i, j): c
+            for i, j, c in zip(
+                graph.lo.tolist(), graph.hi.tolist(), graph.counts.tolist()
+            )
+        }
+        rows = oracle_ppmi(edges, graph.marginals, graph.total)
+        assert [len(row) for row in rows].count(0) >= 20
+        for i, expected in enumerate(rows):
+            ids, vals = ppmi.row(i)
+            assert ids.tolist() == [j for j, _ in expected]
+            assert vals.tobytes() == np.array(
+                [v for _, v in expected], dtype=np.float64
+            ).tobytes()
+
     def test_regular_chunk_is_split_whole(self):
         tokens, counts = graph_module._split_chunk("a\tb\t3\nb\t\u65e5\t0012\n")
         assert tokens == ["a", "b", "b", "\u65e5"]

@@ -3,8 +3,6 @@ reports in open- and closed-world modes."""
 
 import json
 import math
-import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,26 +457,17 @@ class TestBlockedGrid:
         trace = prediction_forward(params, 0, 8, 1, 19)
         self.check(params, trace)
 
-    def test_forward_peak_memory_below_one_grid(self):
+    def test_forward_peak_memory_below_one_grid(self, traced_peak):
         # One large-scale forward (d = 128, P = 32 x 32 = 1024) on a fresh
         # thread, so its scratch block is allocated inside the measurement.
+        # The grid is 5 (P, d) float64 arrays.  The peak is 4.3 of them: the
+        # 1 MiB block buffer, and at the pair projection its result, the
+        # gathered tail projections and the assumption block.
         params = init_params(ModelDims.square(128, 4), 200, seed=0)
-        grid_bytes = 1024 * (params.dims.n_rel + 1) * params.dims.d * 8
-        result = {}
-
-        def forward():
-            tracemalloc.start()
-            try:
-                result["trace"] = prediction_forward(params, 0, 1, 32, 32)
-                result["peak"] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        thread = threading.Thread(target=forward)
-        thread.start()
-        thread.join()
-        assert len(result["trace"].structure.pair_heads) == 1024
-        assert result["peak"] < grid_bytes
+        pair_rows = 1024 * params.dims.d * 8
+        trace, peak, _ = traced_peak(lambda: prediction_forward(params, 0, 1, 32, 32))
+        assert len(trace.structure.pair_heads) == 1024
+        assert peak < 4.5 * pair_rows
 
 
 class TestSingleRowHelpersMatchKernel:

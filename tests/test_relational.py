@@ -2,12 +2,14 @@
 NA-thresholded relation posterior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import relrec.relational
 from relrec.graph import GraphFormatError, Vocab
 from relrec.params import ModelDims, init_params
 from relrec.relational import (
@@ -255,6 +257,15 @@ class TestRelationalLoss:
         with pytest.raises(ValueError):
             relational_loss(params, [(0, 0, 1)], n_neg=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "triple", [(-1, 0, 1), (0, 0, 4), (0, -1, 1), (0, 5, 1)]
+    )
+    def test_out_of_range_ids_rejected(self, triple):
+        # 4 entities and 2 * 2 + 1 relation rows.
+        params = zeroed_params(vocab_size=4, n_rel=2)
+        with pytest.raises(ValueError, match="out of range"):
+            relational_loss(params, [triple], n_neg=2, seed=0)
+
     def test_gradients_match_finite_differences(self):
         (result,) = grad_check(losses=("relational",))
         assert result.passed, result.format()
@@ -378,3 +389,146 @@ class TestRelationalLossEquivalence:
             for name, grad in expected.items():
                 assert grads[name].dtype == grad.dtype
                 assert np.array_equal(grads[name], grad)
+
+
+# Columns of a gradient tensor summed per np.bincount call in the
+# whole-tensor form below.
+_WHOLE_TENSOR_COLUMNS = 8
+
+
+def whole_tensor_scatter_rows(n_rows, parts, dtype):
+    """Sum value rows into an (n_rows, d) array of `dtype`: parts of (row
+    ids, values with one d-row per id, negate), added in input order, part
+    after part, in float64, by one ordered np.bincount per column block."""
+    rows = np.concatenate([ids.reshape(-1) for ids, _, _ in parts])
+    d = parts[0][1].shape[-1]
+    out = np.empty((n_rows, d), dtype=dtype)
+    for start in range(0, d, _WHOLE_TENSOR_COLUMNS):
+        stop = min(start + _WHOLE_TENSOR_COLUMNS, d)
+        width = stop - start
+        index = (rows[:, None] * width + np.arange(width)).reshape(-1)
+        values = np.empty((len(rows), width))
+        offset = 0
+        for _, part, negate in parts:
+            block = part.reshape(-1, d)[:, start:stop]
+            target = values[offset : offset + len(block)]
+            if negate:
+                np.negative(block, out=target)
+            else:
+                target[...] = block
+            offset += len(block)
+        sums = np.bincount(index, weights=values.reshape(-1), minlength=n_rows * width)
+        out[:, start:stop] = sums.reshape(n_rows, width)
+    return out
+
+
+def whole_tensor_side_terms(ent, cand, base, tail_side):
+    """Loss of one corruption side, its softmax-weighted residual signs
+    (B, C, d) and their sum over candidates (B, d), from the whole
+    (B, C, d) residual tensor."""
+    residual = ent[cand]
+    if tail_side:
+        np.subtract(base[:, None, :], residual, out=residual)
+    else:
+        residual += base[:, None, :]
+    weighted_sign = np.sign(residual)
+    scores = -np.abs(residual, out=residual).sum(axis=2)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp_shifted = np.exp(shifted)
+    log_z = np.log(exp_shifted.sum(axis=1))
+    loss = float((log_z - shifted[:, 0]).sum())
+    weight = exp_shifted / np.exp(log_z)[:, None]
+    weight[:, 0] -= 1.0
+    weighted_sign *= weight[:, :, None]
+    return loss, weighted_sign, weighted_sign.sum(axis=1)
+
+
+def whole_tensor_relational_loss(params, triples, n_neg, seed):
+    """relational_loss with every (B, n_neg + 1, d) tensor of both sides
+    held whole: one batched corruption draw, then the gradients summed by
+    ordered bincounts over heads, tail candidates, tails, head candidates."""
+    ids = np.asarray(triples, dtype=np.int64)
+    heads, rels, tails = ids[:, 0], ids[:, 1], ids[:, 2]
+    rng = np.random.default_rng(seed)
+    ent, rel = params.entity_emb, params.relation_emb
+    draws = rng.integers(0, params.vocab_size - 1, size=(len(ids), 2, n_neg))
+    draws += draws >= np.stack([tails, heads], axis=1)[:, :, None]
+    cand_tails = np.concatenate([tails[:, None], draws[:, 0]], axis=1)
+    cand_heads = np.concatenate([heads[:, None], draws[:, 1]], axis=1)
+    rel_rows = rel[rels]
+    loss_t, sign_t, summed_t = whole_tensor_side_terms(
+        ent, cand_tails, ent[heads] + rel_rows, tail_side=True
+    )
+    loss_h, sign_h, summed_h = whole_tensor_side_terms(
+        ent, cand_heads, rel_rows - ent[tails], tail_side=False
+    )
+    grad_entity = whole_tensor_scatter_rows(
+        ent.shape[0],
+        [
+            (heads, summed_t, True),
+            (cand_tails, sign_t, False),
+            (tails, summed_h, False),
+            (cand_heads, sign_h, True),
+        ],
+        ent.dtype,
+    )
+    grad_relation = whole_tensor_scatter_rows(
+        rel.shape[0], [(rels, summed_t, True), (rels, summed_h, True)], rel.dtype
+    )
+    return loss_t + loss_h, {"entity_emb": grad_entity, "relation_emb": grad_relation}
+
+
+class TestStreamedRelationalStage:
+    """relational_loss streams each side through blocks of triple rows; its
+    loss and gradients equal the whole-tensor form bit for bit, in float64
+    and float32, for blocks of one triple row, of a few rows and of the
+    default size."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @settings(max_examples=25, deadline=None)
+    @given(relational_batches())
+    @example((2, 3, 1, [(0, 0, 1), (1, 1, 0)], 4, 0))  # V = 2, reverse row
+    @example((9, 37, 2, [(2, 3, 5), (2, 3, 5), (4, 0, 4)], 1, 3))  # n_neg = 1
+    @example((30, 16, 1, [(7, 1, 2)] * 3, 5, 9))  # repeated triple
+    def test_matches_whole_tensor_form(self, block_rows, dtype, case):
+        vocab_size, d, n_rel, triples, n_neg, seed = case
+        params = init_params(ModelDims.square(d, n_rel), vocab_size, seed=seed)
+        rng = np.random.default_rng(seed)
+        for name, tensor in params.tensors().items():
+            setattr(params, name, rng.normal(0.0, 0.5, tensor.shape).astype(dtype))
+        expected_loss, expected = whole_tensor_relational_loss(
+            params, triples, n_neg, seed
+        )
+        block_bytes = relrec.relational._TRIPLE_BLOCK_BYTES
+        if block_rows is not None:
+            # A block holds _TRIPLE_BLOCK_BYTES // (C * d * 8) triple rows.
+            block_bytes = block_rows * (n_neg + 1) * d * 8
+        with mock.patch.object(relrec.relational, "_TRIPLE_BLOCK_BYTES", block_bytes):
+            loss, grads = relational_loss(params, triples, n_neg, seed=seed)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        assert set(grads) == set(expected)
+        for name, grad in expected.items():
+            assert grads[name].dtype == grad.dtype == dtype
+            assert grads[name].shape == grad.shape
+            assert grads[name].tobytes() == grad.tobytes()
+
+    def test_peak_memory_below_a_quarter_of_one_side_tensor(self, traced_peak):
+        # Large-workload dims on a fresh thread, so the stage's block
+        # buffers are allocated inside the measurement.
+        batch, n_neg, d, vocab_size = 256, 100, 128, 300
+        params = init_params(ModelDims.square(d, 4), vocab_size, seed=0)
+        rng = np.random.default_rng(0)
+        triples = np.stack(
+            [
+                rng.integers(0, vocab_size, batch),
+                rng.integers(0, 8, batch),
+                rng.integers(0, vocab_size, batch),
+            ],
+            axis=1,
+        )
+        side_tensor = batch * (n_neg + 1) * d * 8
+        _, peak, _ = traced_peak(
+            lambda: relational_loss(params, triples, n_neg, seed=0)
+        )
+        assert peak < side_tensor / 4
