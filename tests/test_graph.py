@@ -366,8 +366,8 @@ class TestArrayStoreEquivalence:
     def test_generated_graph_matches_oracle_within_memory_bound(
         self, n_terms, traced_peak
     ):
-        # A few thousand edges over more than 256 ids (the sort keys of
-        # the lower row parts widen to 16 bits), some ids without edges.
+        # A few thousand edges over 200 ids (8-bit sort keys for the lower
+        # row parts) or 600 ids (16-bit keys); the last 20 ids have none.
         rng = np.random.default_rng(n_terms)
         a = rng.integers(0, n_terms - 20, 5000)
         b = rng.integers(0, n_terms - 20, 5000)
