@@ -8,7 +8,6 @@ whose top-scored interactions double as rationales.
 """
 
 from .evaluation import (
-    DataError,
     SyntheticWorld,
     f1_score,
     generate_synthetic,
@@ -20,6 +19,7 @@ from .evaluation import (
 )
 from .graph import (
     CoocGraph,
+    DataError,
     GraphFormatError,
     PpmiMatrix,
     UnknownTermError,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .evaluation import (
     SPLIT_RATIOS,
-    DataError,
     check_rule_file,
     f1_score,
     generate_synthetic,
@@ -33,9 +32,9 @@ from .evaluation import (
     write_synthetic_dataset,
 )
 from .graph import (
-    GraphFormatError,
+    DataError,
     UnknownTermError,
-    _open_text,
+    _tsv_rows,
     compute_ppmi,
     load_cooc_graph,
 )
@@ -135,22 +134,11 @@ def _require(merged: dict, *keys: str) -> None:
 
 
 def _relation_names_in_tsv(path: str) -> tuple[str, ...]:
-    names: list[str] = []
-    seen: set[str] = set()
-    with _open_text(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                continue  # the full loader reports malformed lines
-            if fields[1] not in seen:
-                seen.add(fields[1])
-                names.append(fields[1])
+    """Relation names of a triple file in order of first appearance."""
+    names = tuple(dict.fromkeys(fields[1] for _, fields in _tsv_rows(path, 3)))
     if not names:
         raise DataError(f"{path}: no relation triples found")
-    return tuple(names)
+    return names
 
 
 def _relation_index(schema: RelationSchema, name: str) -> int:
@@ -401,7 +389,6 @@ RATIONALIZE_DEFAULTS = {
     "model": None,
     "head": None,
     "tail": None,
-    "relation": None,
     "topk": 5,
     "mode": "owa",
     "triples": None,
@@ -417,9 +404,6 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
     if cfg["topk"] < 1:
         raise UsageError(f"--topk must be >= 1, got {cfg['topk']}")
     checkpoint, schema, target, n_assoc = _load_model(cfg["model"])
-    relation = target
-    if cfg["relation"]:
-        relation = _relation_index(schema, cfg["relation"])
     head = checkpoint.vocab.id_of(cfg["head"])
     tail = checkpoint.vocab.id_of(cfg["tail"])
     kb = None
@@ -433,7 +417,7 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         schema,
         head,
         tail,
-        relation,
+        target,
         n_head=n_assoc,
         n_tail=n_assoc,
         top_k=cfg["topk"],
@@ -516,7 +500,6 @@ def build_parser() -> _Parser:
     p_rat.add_argument("--model")
     p_rat.add_argument("--head")
     p_rat.add_argument("--tail")
-    p_rat.add_argument("--relation")
     p_rat.add_argument("--topk", type=int, default=None)
     p_rat.add_argument("--mode", choices=["owa", "cwa"], default=None)
     p_rat.add_argument("--triples")
@@ -547,16 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnknownTermError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (
-        DataError,
-        GraphFormatError,
-        CheckpointError,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as exc:
+    except (DataError, UnknownTermError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as exc:

@@ -19,14 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CoocGraph, GraphFormatError, Vocab, _open_text, dump_cooc_graph
+from .graph import (
+    CoocGraph,
+    DataError,
+    GraphFormatError,
+    Vocab,
+    _tsv_rows,
+    dump_cooc_graph,
+)
 from .relational import LabeledPair, RelationSchema, TripleSet
 
 logger = logging.getLogger(__name__)
-
-
-class DataError(ValueError):
-    """Impossible data request (exhausted sampling pools, bad ratios)."""
 
 
 def f1_score(
@@ -148,35 +151,22 @@ def load_pairs_tsv(
 ) -> list[LabeledPair]:
     """Load `head<TAB>tail<TAB>label<TAB>relation` rows."""
     pairs: list[LabeledPair] = []
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: expected 4 tab-separated "
-                    f"fields, got {len(fields)}"
+    for lineno, (head, tail, label, relation) in _tsv_rows(path, 4):
+        if label not in ("0", "1"):
+            raise GraphFormatError(
+                f"{path}: line {lineno}: label must be 0 or 1, got {label!r}"
+            )
+        try:
+            pairs.append(
+                LabeledPair(
+                    head=vocab.id_of(head),
+                    tail=vocab.id_of(tail),
+                    label=int(label),
+                    relation=schema.index_of(relation),
                 )
-            head, tail, label, relation = fields
-            if label not in ("0", "1"):
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: label must be 0 or 1, got {label!r}"
-                )
-            try:
-                pairs.append(
-                    LabeledPair(
-                        head=vocab.id_of(head),
-                        tail=vocab.id_of(tail),
-                        label=int(label),
-                        relation=schema.index_of(relation),
-                    )
-                )
-            except KeyError as exc:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: {exc}"
-                ) from None
+            )
+        except KeyError as exc:
+            raise GraphFormatError(f"{path}: line {lineno}: {exc}") from None
     return pairs
 
 
@@ -463,13 +453,8 @@ def check_rule_file(outdir: str) -> int:
         (int(hc), int(tc)): rel for hc, tc, rel in data["rule_edges"]
     }
     mismatches = 0
-    with open(os.path.join(outdir, "pairs.tsv"), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            head, tail, label, relation = line.split("\t")
-            holds = rule.get((cluster_of[head], cluster_of[tail])) == relation
-            if holds != (label == "1"):
-                mismatches += 1
+    pairs = _tsv_rows(os.path.join(outdir, "pairs.tsv"), 4)
+    for _, (head, tail, label, relation) in pairs:
+        holds = rule.get((cluster_of[head], cluster_of[tail])) == relation
+        mismatches += holds != (label == "1")
     return mismatches

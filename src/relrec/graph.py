@@ -41,7 +41,13 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-class GraphFormatError(ValueError):
+class DataError(ValueError):
+    """Input the pipeline cannot use: a malformed or unreadable file, an
+    impossible request (exhausted sampling pools, bad ratios) or data that
+    fails training's preconditions.  The CLI exits 2 on it."""
+
+
+class GraphFormatError(DataError):
     """Malformed input file: wrong field count, bad count, unknown name."""
 
 
@@ -237,6 +243,25 @@ def _open_text(path: str):
         raise GraphFormatError(f"{path}: not {kind} text: {exc}") from None
 
 
+def _tsv_rows(path: str, n_fields: int):
+    """Yield (line number, fields) for each non-blank line of a TSV file
+    opened by `_open_text`.  Text mode reads CRLF and CR line endings as
+    newlines.  A line without exactly `n_fields` tab-separated fields
+    raises GraphFormatError."""
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise GraphFormatError(
+                    f"{path}: line {lineno}: expected {n_fields} tab-separated "
+                    f"fields, got {len(fields)}"
+                )
+            yield lineno, fields
+
+
 def _split_chunk(text: str) -> tuple[list[str], np.ndarray] | None:
     """Terms (a, b of each line in turn) and counts of whole lines that
     end in a newline, or None when they need per-line parsing."""
@@ -406,7 +431,7 @@ class PpmiMatrix:
 
 def compute_ppmi(graph: CoocGraph) -> PpmiMatrix:
     if graph.n_edges == 0:
-        raise ValueError("cannot compute PPMI of a graph with no edges")
+        raise DataError("cannot compute PPMI of a graph with no edges")
     n = len(graph.vocab)
     m = graph.marginals
     ratio = graph.counts * graph.total

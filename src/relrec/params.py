@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Vocab
+from .graph import DataError, Vocab
 
 CHECKPOINT_FORMAT = "relrec.checkpoint"
 CHECKPOINT_VERSION = 1
@@ -35,7 +36,7 @@ TENSOR_ORDER = (
 _ADAM_SETTINGS = ("lr", "beta1", "beta2", "eps")
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """Unreadable, corrupted, or wrong-format checkpoint file."""
 
 
@@ -295,22 +296,19 @@ def save_checkpoint(
     little-endian float64 tensor blocks in the declared order."""
     if len(vocab) != params.vocab_size:
         raise ValueError("vocab size does not match params")
-    blocks: list[bytes] = []
-    tensor_decl: list[list] = []
-    for name in TENSOR_ORDER:
-        tensor = getattr(params, name)
-        tensor_decl.append([name, list(tensor.shape)])
-        blocks.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    tensors = params.tensors()
+    tensor_decl = [[name, list(tensor.shape)] for name, tensor in tensors.items()]
+    blocks = list(tensors.values())
     optimizer = None
     if state is not None:
         optimizer = {name: getattr(state, name) for name in _ADAM_SETTINGS}
         optimizer["steps"] = {name: state.steps[name] for name in TENSOR_ORDER}
-        for moment in (state.m, state.v):
-            for name in TENSOR_ORDER:
-                blocks.append(
-                    np.ascontiguousarray(moment[name], dtype="<f8").tobytes()
-                )
-    payload = b"".join(blocks)
+        blocks += [m[name] for m in (state.m, state.v) for name in TENSOR_ORDER]
+    # Hashed and written through views: float64 tensors are not copied.
+    views = [memoryview(np.ascontiguousarray(b, dtype="<f8")) for b in blocks]
+    digest = hashlib.sha256()
+    for view in views:
+        digest.update(view)
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -322,11 +320,11 @@ def save_checkpoint(
         "config": config,
         "tensors": tensor_decl,
         "optimizer": optimizer,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     with open(path, "wb") as fh:
         fh.write(_header_bytes(header))
-        fh.write(payload)
+        fh.writelines(views)
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -376,7 +374,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: format version {header.get('version')!r} is not "
             f"supported (expected {CHECKPOINT_VERSION})"
         )
-    payload = data[newline + 1 :]
+    payload = memoryview(data)[newline + 1 :]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch (corrupted file)")
     _check_header(path, header)
@@ -389,22 +387,26 @@ def load_checkpoint(path: str) -> Checkpoint:
     if header.get("tensors") != [[name, list(s)] for name, s in shapes.items()]:
         raise CheckpointError(f"{path}: header field 'tensors' does not match dims")
 
+    n_blocks = 1 if header.get("optimizer") is None else 3
+    n_values = n_blocks * sum(map(math.prod, shapes.values()))
+    if 8 * n_values > len(payload):
+        raise CheckpointError(f"{path}: truncated tensor payload")
+    if 8 * n_values < len(payload):
+        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
+    values = np.frombuffer(payload, dtype="<f8", count=n_values)
     offset = 0
 
     def take(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal offset
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * n
-        if end > len(payload):
-            raise CheckpointError(f"{path}: truncated tensor payload")
-        arr = np.frombuffer(payload[offset:end], dtype="<f8").reshape(shape)
+        end = offset + math.prod(shape)
+        arr = values[offset:end].reshape(shape).astype(dtype)
         offset = end
-        return arr.astype(dtype, copy=True)
+        return arr
 
     tensors = {name: take(shapes[name]) for name in TENSOR_ORDER}
     params = ModelParams(dims=dims, vocab_size=header["vocab_size"], **tensors)
     state = None
-    if header.get("optimizer") is not None:
+    if n_blocks == 3:
         opt = header["optimizer"]
         m = {name: take(shapes[name]) for name in TENSOR_ORDER}
         v = {name: take(shapes[name]) for name in TENSOR_ORDER}
@@ -414,8 +416,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             v=v,
             steps={name: int(opt["steps"][name]) for name in TENSOR_ORDER},
         )
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
     # The checksums cover NaN and inf too; serving them gives NaN answers.
     checked = list(tensors.items())
     if state is not None:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphFormatError, Vocab, _open_text
+from .graph import DataError, GraphFormatError, Vocab, _tsv_rows
 from .params import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -63,11 +63,11 @@ class RelationSchema:
 
     def __post_init__(self):
         if not self.names:
-            raise ValueError("schema needs at least one relation")
+            raise DataError("schema needs at least one relation")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate relation names")
+            raise DataError("duplicate relation names")
         if NA_NAME in self.names:
-            raise ValueError(f"{NA_NAME!r} is reserved for the no-relation row")
+            raise DataError(f"{NA_NAME!r} is reserved for the no-relation row")
 
     @property
     def n_rel(self) -> int:
@@ -181,32 +181,21 @@ def load_triples_tsv(path: str, vocab: Vocab, schema: RelationSchema) -> TripleS
     are collected and reported together in one error."""
     triples: list[tuple[int, int, int]] = []
     offenders: list[str] = []
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise GraphFormatError(
-                    f"{path}: line {lineno}: expected 3 tab-separated "
-                    f"fields, got {len(fields)}"
-                )
-            head, relation, tail = fields
-            bad = False
-            if head not in vocab:
-                offenders.append(f"line {lineno}: unknown term {head!r}")
-                bad = True
-            if tail not in vocab:
-                offenders.append(f"line {lineno}: unknown term {tail!r}")
-                bad = True
-            if relation not in schema.names:
-                offenders.append(f"line {lineno}: unknown relation {relation!r}")
-                bad = True
-            if not bad:
-                triples.append(
-                    (vocab.id_of(head), schema.index_of(relation), vocab.id_of(tail))
-                )
+    for lineno, (head, relation, tail) in _tsv_rows(path, 3):
+        bad = False
+        if head not in vocab:
+            offenders.append(f"line {lineno}: unknown term {head!r}")
+            bad = True
+        if tail not in vocab:
+            offenders.append(f"line {lineno}: unknown term {tail!r}")
+            bad = True
+        if relation not in schema.names:
+            offenders.append(f"line {lineno}: unknown relation {relation!r}")
+            bad = True
+        if not bad:
+            triples.append(
+                (vocab.id_of(head), schema.index_of(relation), vocab.id_of(tail))
+            )
     if offenders:
         raise GraphFormatError(
             f"{path}: {len(offenders)} unresolved name(s):\n  "

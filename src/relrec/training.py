@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .evaluation import f1_score
-from .graph import CoocGraph, PpmiMatrix
+from .graph import CoocGraph, DataError, PpmiMatrix
 from .params import (
     AdamState,
     ModelDims,
@@ -222,18 +222,18 @@ def joint_train(
 
     support = ppmi.entities_with_support()
     if len(support) == 0:
-        raise ValueError("no entity has PPMI support")
+        raise DataError("no entity has PPMI support")
     augmented = triples.augment_reverse(schema.n_rel)
     if len(augmented) == 0:
-        raise ValueError("the triple set is empty")
+        raise DataError("the triple set is empty")
     augmented_ids = np.asarray(augmented.triples, dtype=np.int64).reshape(-1, 3)
     if not train_pairs or not dev_pairs:
-        raise ValueError("train and dev pairs are required")
+        raise DataError("train and dev pairs are required")
     target_relations = {p.relation for p in train_pairs} | {
         p.relation for p in dev_pairs
     }
     if len(target_relations) != 1:
-        raise ValueError(
+        raise DataError(
             "labeled pairs must target a single relation, got "
             f"{sorted(target_relations)}"
         )

@@ -10,10 +10,12 @@ import os
 import pytest
 
 import relrec.cli
+import relrec.graph
 from relrec.cli import main
 from relrec.evaluation import DataError, load_pairs_tsv
+from relrec.graph import GraphFormatError, load_cooc_graph
 from relrec.params import load_checkpoint, save_checkpoint
-from relrec.relational import RelationSchema
+from relrec.relational import RelationSchema, load_triples_tsv
 from relrec.training import TrainConfig
 
 
@@ -441,6 +443,66 @@ class TestExitCodes:
         assert err.startswith("data error:") and str(bad) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "kind", ["na-relation", "self-loops", "empty-train-split"]
+    )
+    def test_input_failing_training_preconditions(
+        self, workspace, tmp_path, capsys, kind
+    ):
+        data = workspace["data"]
+        argv = ["train", "--graph", str(data / "graph.tsv"),
+                "--triples", str(data / "triples.tsv"),
+                "--pairs", str(data / "pairs.tsv"),
+                "--out", str(tmp_path / "m.bin"), "--relation", "rel_0"]
+        if kind == "na-relation":
+            triples = tmp_path / "triples.tsv"
+            text = (data / "triples.tsv").read_text()
+            triples.write_text(text.replace("\trel_1\t", "\tNA\t"))
+            argv[argv.index("--triples") + 1] = str(triples)
+            expected = "'NA' is reserved for the no-relation row"
+        elif kind == "self-loops":
+            graph = tmp_path / "graph.tsv"
+            graph.write_text("e0001\te0001\t3\ne0002\te0002\t1\n")
+            argv[argv.index("--graph") + 1] = str(graph)
+            expected = "cannot compute PPMI of a graph with no edges"
+        else:
+            argv += ["--ratios", "0,0.5,0.5"]
+            expected = "train and dev pairs are required"
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"data error: {expected}\n"
+
+    def test_permission_denied_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        data = workspace["data"]
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(relrec.graph, "open", denied, raising=False)
+        code, out, err = run(
+            ["train", "--graph", str(data / "graph.tsv"),
+             "--triples", str(data / "triples.tsv"),
+             "--pairs", str(data / "pairs.tsv"),
+             "--out", str(tmp_path / "m.bin"), "--relation", "rel_0"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:") and "Permission denied" in err
+        assert str(data / "graph.tsv") in err
+
+    def test_rationalize_has_no_relation_option(self, workspace, capsys):
+        head, tail = load_split(workspace, "test")[0]
+        code, out, err = run(
+            ["rationalize", "--model", str(workspace["model"]),
+             "--head", head, "--tail", tail, "--relation", "rel_1"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage error:") and "--relation" in err
+        assert out == ""
+
     def test_multi_relation_pairs_need_choice(self, workspace, capsys):
         data = workspace["data"]
         code, out, err = run(
@@ -772,3 +834,70 @@ class TestExitCodes:
         code, out, err = run(["synth", "--out", "/tmp/never"], capsys)
         assert code == 1
         assert "RELREC_LOG" in err
+
+
+class TestTsvInputs:
+    """Triple and pair files go through one line reader: for `train` as
+    for the library loaders."""
+
+    LOADERS = {"triples": load_triples_tsv, "pairs": load_pairs_tsv}
+
+    def schema_and_vocab(self, workspace):
+        vocab = load_cooc_graph(str(workspace["data"] / "graph.tsv")).vocab
+        return vocab, RelationSchema(names=("rel_0", "rel_1"))
+
+    def crlf_copy(self, workspace, tmp_path, name, insert=None):
+        """The file with CRLF endings and blank lines between rows; `insert`
+        becomes line 4, after the first row."""
+        lines = (workspace["data"] / f"{name}.tsv").read_text().splitlines()
+        if insert is not None:
+            lines.insert(1, insert)
+        path = tmp_path / f"{name}.tsv"
+        path.write_bytes(("\r\n" + "\r\n\r\n".join(lines) + "\r\n").encode())
+        return path
+
+    def train_argv(self, workspace, tmp_path, **inputs):
+        data = workspace["data"]
+        paths = {name: str(data / f"{name}.tsv")
+                 for name in ("graph", "triples", "pairs")}
+        paths.update({name: str(path) for name, path in inputs.items()})
+        return ["train", "--graph", paths["graph"], "--triples", paths["triples"],
+                "--pairs", paths["pairs"], "--out", str(tmp_path / "m.bin"),
+                "--relation", "rel_0", "--dim", "8", "--epochs", "1",
+                "--b1", "32", "--b2", "32", "--b3", "32", "--n-assoc", "4",
+                "--n-neg", "8", "--seed", "1"]
+
+    @pytest.mark.parametrize("name", ["triples", "pairs"])
+    def test_crlf_and_blank_lines_load_the_same(self, workspace, tmp_path, name):
+        vocab, schema = self.schema_and_vocab(workspace)
+        load = self.LOADERS[name]
+        edited = self.crlf_copy(workspace, tmp_path, name)
+        original = load(str(workspace["data"] / f"{name}.tsv"), vocab, schema)
+        assert load(str(edited), vocab, schema) == original
+
+    def test_crlf_and_blank_lines_train_the_same(self, workspace, tmp_path, capsys):
+        plain, edited = tmp_path / "plain", tmp_path / "edited"
+        plain.mkdir()
+        edited.mkdir()
+        code, _, err = run(self.train_argv(workspace, plain), capsys)
+        assert code == 0, err
+        inputs = {name: self.crlf_copy(workspace, edited, name)
+                  for name in ("triples", "pairs")}
+        code, _, err = run(self.train_argv(workspace, edited, **inputs), capsys)
+        assert code == 0, err
+        assert (edited / "m.bin").read_bytes() == (plain / "m.bin").read_bytes()
+
+    @pytest.mark.parametrize("name, n_fields", [("triples", 3), ("pairs", 4)])
+    def test_wrong_field_count_same_message(
+        self, workspace, tmp_path, capsys, name, n_fields
+    ):
+        vocab, schema = self.schema_and_vocab(workspace)
+        bad = self.crlf_copy(workspace, tmp_path, name, insert="e0001\trel_0")
+        expected = f"{bad}: line 4: expected {n_fields} tab-separated fields, got 2"
+        with pytest.raises(GraphFormatError) as exc_info:
+            self.LOADERS[name](str(bad), vocab, schema)
+        assert str(exc_info.value) == expected
+        argv = self.train_argv(workspace, tmp_path, **{name: bad})
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"data error: {expected}\n"

@@ -1,5 +1,6 @@
 """Parameter initialization, Adam updates, and checkpoint persistence."""
 
+import hashlib
 import json
 import math
 import re
@@ -222,6 +223,51 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_payload_is_float64_blocks_in_order(self, tmp_path, dtype):
+        params = init_params(ModelDims(d=3, d_p=4, d_a=2, n_rel=2), 5, 4, dtype)
+        state = AdamState.for_params(params, lr=0.01)
+        adam_step(params, {"pair_weight": np.ones_like(params.pair_weight)}, state)
+        path = tmp_path / "model.ckpt"
+        vocab = Vocab([f"t{i}" for i in range(5)])
+        save_checkpoint(str(path), params, vocab, {}, state)
+        blocks = [params.tensors(), state.m, state.v]
+        expected = b"".join(
+            np.asarray(block[name], dtype="<f8").tobytes()
+            for block in blocks for name in TENSOR_ORDER
+        )
+        data = path.read_bytes()
+        newline = data.index(b"\n")
+        assert data[newline + 1 :] == expected
+        header = json.loads(data[:newline])
+        assert header["payload_sha256"] == hashlib.sha256(expected).hexdigest()
+        loaded = load_checkpoint(str(path))
+        for block, loaded_block in zip(
+            blocks, [loaded.params.tensors(), loaded.state.m, loaded.state.v]
+        ):
+            for name in TENSOR_ORDER:
+                tensor = loaded_block[name]
+                assert tensor.dtype == dtype and tensor.flags.writeable
+                assert tensor.tobytes() == block[name].tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda payload: payload[:-8], "truncated tensor payload"),
+         (lambda payload: payload + bytes(3), "trailing bytes after tensor payload")],
+        ids=["truncated", "trailing"],
+    )
+    def test_payload_length_checked(self, tmp_path, edit, message):
+        # The checksum is recomputed, so only the length is wrong.
+        _, _, _, _, path = self.roundtrip(tmp_path, True)
+        data = path.read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        payload = edit(data[newline + 1 :])
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
 
     def test_unsupported_version_detected(self, tmp_path):
