@@ -185,6 +185,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"invalid training option: {exc}") from None
     ratios = SPLIT_RATIOS if cfg["ratios"] is None else _parse_ratios(cfg["ratios"])
+    # Outputs are written after training; a missing directory is found now.
+    for key in ("out", "log"):
+        folder = os.path.dirname(cfg[key] or "") or "."
+        if not os.path.isdir(folder):
+            raise DataError(f"--{key}: directory {folder!r} does not exist")
     graph = load_cooc_graph(cfg["graph"])
     ppmi = compute_ppmi(graph)
     schema = RelationSchema(names=_relation_names_in_tsv(cfg["triples"]))

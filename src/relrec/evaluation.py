@@ -23,6 +23,7 @@ from .graph import (
     CoocGraph,
     DataError,
     GraphFormatError,
+    UnknownTermError,
     Vocab,
     _tsv_rows,
     dump_cooc_graph,
@@ -165,8 +166,10 @@ def load_pairs_tsv(
                     relation=schema.index_of(relation),
                 )
             )
-        except KeyError as exc:
+        except UnknownTermError as exc:
             raise GraphFormatError(f"{path}: line {lineno}: {exc}") from None
+        except KeyError as exc:  # the schema's, whose str() would quote it
+            raise GraphFormatError(f"{path}: line {lineno}: {exc.args[0]}") from None
     return pairs
 
 

@@ -35,10 +35,14 @@ query) is left in the thread's block buffer, so a backward that follows
 its forward takes it from there.  The element operations and the sum
 over d are those of the whole grid, so scores, survivors, posteriors and
 gradients are the same bit for bit at any block size.  The backward pass
-sums each pair's gradient per distinct entity with a 0/1 matmul and
-writes every entity row once.  This is exact algebra, not an
-approximation: the scores and survivor sets are bit-for-bit those of the
-per-pair form, the rest agrees to rounding.
+sums each pair's gradient per distinct entity once: over an OWA grid
+(`PredictionStructure.grid`) as sums along the rows and columns of its
+n_head x n_tail layout, over an explicit pair list (CWA, tests) with a
+0/1 matmul.  The entity gradient is non-zero only on those association
+rows, so `prediction_loss` keeps one dense batch gradient and each
+backward adds its head rows, then its tail rows, into it.  This is
+exact algebra, not an approximation: the scores and survivor sets are
+bit-for-bit those of the per-pair form, the rest agrees to rounding.
 
 Signs for the survivor rows alone (the NA row plus about 0.2 of n_rel
 per pair at large scale) were tried and not kept: BLAS then sums the
@@ -85,6 +89,9 @@ class PredictionStructure:
     pair_heads: np.ndarray  # (P,) entity ids
     pair_tails: np.ndarray  # (P,)
     survivors: np.ndarray | None = None  # (P, n_rel) bool; None: not chosen yet
+    # True when the pairs are the full n_head x n_tail grid of two
+    # association lists in `_cross_grid` order; an explicit pair list is not.
+    grid: bool = False
 
 
 @dataclass
@@ -244,12 +251,21 @@ def attention_weights(params: ModelParams, pair_reprs: np.ndarray) -> np.ndarray
     return _attention(params, pair_reprs)[2]
 
 
-def _cross_pairs(
+def _tanh_slope(h: np.ndarray) -> np.ndarray:
+    """1 - h**2, the derivative of tanh at tanh value h, in one new array."""
+    slope = np.multiply(h, h)
+    return np.subtract(1.0, slope, out=slope)
+
+
+def _cross_grid(
     head_assoc: AssociationList, tail_assoc: AssociationList
-) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, tails) of the full n_head x n_tail association grid."""
+) -> PredictionStructure:
+    """The full n_head x n_tail association grid, head-major: pair
+    i * n_tail + j joins head association i with tail association j."""
     heads, tails = head_assoc.entity_ids, tail_assoc.entity_ids
-    return np.repeat(heads, len(tails)), np.tile(tails, len(heads))
+    return PredictionStructure(
+        np.repeat(heads, len(tails)), np.tile(tails, len(heads)), grid=True
+    )
 
 
 def _row_sums(inverse: np.ndarray, n_rows: int, *values: np.ndarray) -> list:
@@ -258,6 +274,22 @@ def _row_sums(inverse: np.ndarray, n_rows: int, *values: np.ndarray) -> list:
     onehot = np.zeros((n_rows, len(inverse)), dtype=values[0].dtype)
     onehot[inverse, np.arange(len(inverse))] = 1.0
     return [onehot @ v for v in values]
+
+
+def _grid_sums(
+    heads: Distinct, tails: Distinct, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head and per-tail sums of a (P, k) array over a `_cross_grid`
+    pair set, each in `Distinct` order.  Association lists repeat no
+    entity, so the grid is len(heads.ids) x len(tails.ids), and head
+    association i is pair i * n_tail."""
+    n_head, n_tail = len(heads.ids), len(tails.ids)
+    cells = values.reshape(n_head, n_tail, -1)
+    by_head = np.empty((n_head, cells.shape[2]), dtype=values.dtype)
+    by_head[heads.inverse[::n_tail]] = cells.sum(axis=1)
+    by_tail = np.empty((n_tail, cells.shape[2]), dtype=values.dtype)
+    by_tail[tails.inverse[:n_tail]] = cells.sum(axis=0)
+    return by_head, by_tail
 
 
 def prediction_forward(
@@ -279,11 +311,9 @@ def prediction_forward(
     this pass selects the survivors.
     """
     if structure is None:
-        structure = PredictionStructure(
-            *_cross_pairs(
-                top_associations(params, head, n_head),
-                top_associations(params, tail, n_tail),
-            )
+        structure = _cross_grid(
+            top_associations(params, head, n_head),
+            top_associations(params, tail, n_tail),
         )
     pair_heads = structure.pair_heads
     pair_tails = structure.pair_tails
@@ -327,7 +357,11 @@ def prediction_forward(
 
 
 def prediction_backward(
-    params: ModelParams, trace: PredictionTrace, dlogit: float
+    params: ModelParams,
+    trace: PredictionTrace,
+    dlogit: float,
+    *,
+    entity_grad: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of the pipeline output logit scaled by `dlogit`,
     holding association membership and survivor sets constant.
@@ -337,6 +371,11 @@ def prediction_backward(
     posterior softmax (whose active set is the NA row plus the frozen
     survivors), and the L1 translation scores, into the entity and
     relation embeddings of the participating association pairs.
+
+    The entity gradient touches only the association rows.  Given an
+    `entity_grad` accumulator of the shape of `entity_emb`, those rows
+    are added into it and the returned dict has no "entity_emb" entry;
+    otherwise a dense gradient is allocated and returned.
     """
     dims = params.dims
     d, n_rel = dims.d, dims.n_rel
@@ -344,9 +383,10 @@ def prediction_backward(
     e_repr = trace.pair_reprs
 
     grads: dict[str, np.ndarray] = {
-        "entity_emb": np.zeros_like(params.entity_emb),
         "relation_emb": np.zeros_like(params.relation_emb),
     }
+    if entity_grad is None:
+        entity_grad = grads["entity_emb"] = np.zeros_like(params.entity_emb)
     grads["out_weight"] = dlogit * trace.pooled
     grads["out_bias"] = np.asarray(dlogit, dtype=params.dtype)
 
@@ -355,17 +395,16 @@ def prediction_backward(
     d_attn = e_repr @ d_pooled  # (P,)
     d_attn_logits = attn * (d_attn - attn @ d_attn)
     grads["attn_vector"] = trace.attn_hidden.T @ d_attn_logits
-    d_hidden = (
-        d_attn_logits[:, None]
-        * params.attn_vector[None, :]
-        * (1.0 - trace.attn_hidden**2)
-    )
+    # d_attn_logits * v * (1 - h**2), the tanh slope formed in place.
+    d_hidden = _tanh_slope(trace.attn_hidden)
+    d_hidden *= d_attn_logits[:, None] * params.attn_vector[None, :]
     grads["attn_weight"] = d_hidden.T @ e_repr
     grads["attn_bias"] = d_hidden.sum(axis=0)
     d_repr += d_hidden @ params.attn_weight
 
     # Pair projection pre = E[h] @ W_h + E[t] @ W_t + posterior @ R @ W_a + b.
-    d_pre = d_repr * (1.0 - e_repr**2)  # (P, d_p)
+    d_pre = d_repr
+    d_pre *= _tanh_slope(e_repr)  # (P, d_p)
     w_head, w_tail, w_assum = (
         params.pair_weight[:d],
         params.pair_weight[d : 2 * d],
@@ -397,12 +436,16 @@ def prediction_backward(
 
     # Each distinct association entity gets its pairs' gradient once.
     heads, tails = trace.heads.ids, trace.tails.ids
-    d_pre_head, sign_head = _row_sums(
-        trace.heads.inverse, len(heads), d_pre, pair_sign_sum
-    )
-    d_pre_tail, sign_tail = _row_sums(
-        trace.tails.inverse, len(tails), d_pre, pair_sign_sum
-    )
+    if trace.structure.grid:
+        d_pre_head, d_pre_tail = _grid_sums(trace.heads, trace.tails, d_pre)
+        sign_head, sign_tail = _grid_sums(trace.heads, trace.tails, pair_sign_sum)
+    else:
+        d_pre_head, sign_head = _row_sums(
+            trace.heads.inverse, len(heads), d_pre, pair_sign_sum
+        )
+        d_pre_tail, sign_tail = _row_sums(
+            trace.tails.inverse, len(tails), d_pre, pair_sign_sum
+        )
     entity_emb = params.entity_emb
     grads["pair_weight"] = np.concatenate(
         [
@@ -411,8 +454,8 @@ def prediction_backward(
             rel_fwd.T @ d_pre_by_rel,
         ]
     )
-    grads["entity_emb"][heads] += d_pre_head @ w_head.T - sign_head
-    grads["entity_emb"][tails] += d_pre_tail @ w_tail.T + sign_tail
+    entity_grad[heads] += d_pre_head @ w_head.T - sign_head
+    entity_grad[tails] += d_pre_tail @ w_tail.T + sign_tail
     return grads
 
 
@@ -630,17 +673,14 @@ def rationalize_pair(
             associations=(head_assoc, tail_assoc),
         )
         if kept:
-            pair_heads = np.array([c.assoc_head for c in kept], dtype=np.int64)
-            pair_tails = np.array([c.assoc_tail for c in kept], dtype=np.int64)
+            structure = PredictionStructure(
+                np.array([c.assoc_head for c in kept], dtype=np.int64),
+                np.array([c.assoc_tail for c in kept], dtype=np.int64),
+            )
         else:
-            pair_heads, pair_tails = _cross_pairs(head_assoc, tail_assoc)
+            structure = _cross_grid(head_assoc, tail_assoc)
         trace = prediction_forward(
-            params,
-            head,
-            tail,
-            n_head,
-            n_tail,
-            structure=PredictionStructure(pair_heads, pair_tails),
+            params, head, tail, n_head, n_tail, structure=structure
         )
         # Reverse rows never appear in reports; vetoed relations have no
         # posterior to rank.  A fallback report ranks nothing.

@@ -112,10 +112,13 @@ def prediction_loss(
     structures: list | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Binary cross entropy of the full pipeline over a pair batch, with
-    analytic gradients.  Returns (loss, grads, probabilities)."""
+    analytic gradients.  Returns (loss, grads, probabilities).  Each
+    query's entity gradient touches only its association rows, which are
+    added into one dense batch gradient."""
     if not pairs:
         raise ValueError("empty pair batch")
-    grads: dict[str, np.ndarray] = {}
+    entity_grad = np.zeros_like(params.entity_emb)
+    grads: dict[str, np.ndarray] = {"entity_emb": entity_grad}
     probs = np.empty(len(pairs), dtype=np.float64)
     loss = 0.0
     for i, pair in enumerate(pairs):
@@ -132,7 +135,12 @@ def prediction_loss(
             np.array([trace.probability]), np.array([float(pair.label)])
         )
         loss += sample_loss
-        accumulate_grads(grads, prediction_backward(params, trace, float(dlogit[0])))
+        accumulate_grads(
+            grads,
+            prediction_backward(
+                params, trace, float(dlogit[0]), entity_grad=entity_grad
+            ),
+        )
     return loss, grads, probs
 
 

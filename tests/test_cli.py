@@ -375,6 +375,28 @@ class TestExitCodes:
         assert code == 1
         assert "ratios must be three comma-separated numbers" in err
 
+    @pytest.mark.parametrize("option", ["--out", "--log"])
+    def test_missing_output_directory_reported_before_loading(
+        self, workspace, tmp_path, monkeypatch, capsys, option
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("inputs loaded before the output check")
+
+        monkeypatch.setattr(relrec.cli, "load_cooc_graph", never)
+        data = workspace["data"]
+        outputs = {"--out": str(tmp_path / "m.bin")}
+        outputs[option] = str(tmp_path / "missing" / "file")
+        code, out, err = run(
+            ["train", "--graph", str(data / "graph.tsv"),
+             "--triples", str(data / "triples.tsv"),
+             "--pairs", str(data / "pairs.tsv"),
+             *(x for item in outputs.items() for x in item)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error:")
+        assert str(tmp_path / "missing") in err
+
     def test_bad_ratio_sum(self, workspace, capsys):
         data = workspace["data"]
         code, out, err = run(

@@ -196,6 +196,22 @@ class TestPairsTsv:
         with pytest.raises(GraphFormatError, match="line 2"):
             load_pairs_tsv(str(path), self.vocab, self.schema)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("alpha\tbeta\t1\thates",
+             "unknown relation 'hates'; known relations: likes, knows"),
+            ("alpha\tbetta\t1\tlikes",
+             "unknown term 'betta'; closest matches: beta, alpha, gamma"),
+        ],
+    )
+    def test_unknown_name_message(self, tmp_path, row, message):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(row + "\n")
+        with pytest.raises(GraphFormatError) as info:
+            load_pairs_tsv(str(path), self.vocab, self.schema)
+        assert str(info.value) == f"{path}: line 1: {message}"
+
 
 def inverse_partner(relation, n_rel):
     if relation % 2 == 0:

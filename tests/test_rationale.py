@@ -306,6 +306,24 @@ class TestFactoredKernelEquivalence:
             )
             self.check(params, trace)
 
+    def test_grid_and_pair_list_agree(self):
+        # The OWA grid's per-entity sums are taken over its n_head x n_tail
+        # layout; the same pairs as an explicit list go through _row_sums.
+        for seed in range(3):
+            params = random_params(seed)
+            grid = prediction_forward(params, 0, 8, 5, 7)
+            assert grid.structure.grid
+            pairs = PredictionStructure(
+                grid.structure.pair_heads, grid.structure.pair_tails
+            )
+            listed = prediction_forward(params, 0, 8, 5, 7, structure=pairs)
+            assert not listed.structure.grid
+            expected = prediction_backward(params, listed, 0.7)
+            grads = prediction_backward(params, grid, 0.7)
+            assert set(grads) == set(expected)
+            for name, grad in expected.items():
+                assert_relative_close(grads[name], grad)
+
     def test_matches_per_pair_form_with_frozen_structure(self):
         params = random_params(5)
         structure = prediction_forward(params, 0, 8, 4, 3).structure

@@ -258,6 +258,33 @@ class TestPredictionLoss:
         assert grads  # every enabled tensor received a gradient
         assert probs.shape == (4,)
 
+    def test_batch_gradients_sum_per_query_dense_gradients(self):
+        # A 12-entity vocabulary with 5 associations per side: every query's
+        # head and tail association lists share entities, whose batch rows
+        # receive both a head and a tail gradient.
+        params = init_params(ModelDims(d=6, d_p=5, d_a=4, n_rel=3), 12, seed=4)
+        rng = np.random.default_rng(4)
+        for tensor in params.tensors().values():
+            tensor[...] = rng.normal(0.0, 0.5, size=tensor.shape)
+        batch = [
+            LabeledPair(head=h, tail=t, label=y, relation=0)
+            for h, t, y in [(0, 7, 1), (3, 1, 0), (7, 0, 0), (5, 9, 1), (3, 1, 1)]
+        ]
+        expected: dict[str, np.ndarray] = {}
+        for pair in batch:
+            trace = training.prediction_forward(params, pair.head, pair.tail, 5, 5)
+            assert np.intersect1d(trace.heads.ids, trace.tails.ids).size
+            dense = training.prediction_backward(
+                params, trace, trace.probability - pair.label
+            )
+            for name, grad in dense.items():
+                expected[name] = expected.get(name, 0.0) + grad
+        _, grads, _ = prediction_loss(params, batch, 5, 5)
+        assert set(grads) == set(expected)
+        for name, grad in expected.items():
+            scale = max(float(np.abs(grad).max()), 1.0)
+            assert float(np.abs(grads[name] - grad).max()) <= 1e-12 * scale
+
     def test_empty_batch_rejected(self, tiny_world):
         world, ppmi, train, dev = tiny_world
         params = init_params(
