@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,12 +38,15 @@ from .graph import (
     load_cooc_graph,
 )
 from .params import CheckpointError, load_checkpoint, save_checkpoint
-from .rationale import prediction_forward, rationalize_pair
+# `prediction_forward` is not called here; perfbench/layers.py lists it
+# under this module in TRACED_CALLS.
+from .rationale import prediction_forward, rationalize_pair  # noqa: F401
 from .relational import RelationSchema, TripleSet, load_triples_tsv
 from .training import (
     TrainConfig,
     TrainingDivergedError,
     joint_train,
+    predict_probabilities,
     write_training_log,
 )
 
@@ -278,18 +280,6 @@ EVALUATE_DEFAULTS = {
 }
 
 
-def _predict_many(params, pairs, n_head, n_tail, threads: int) -> np.ndarray:
-    def prob(pair):
-        return prediction_forward(
-            params, pair.head, pair.tail, n_head, n_tail
-        ).probability
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(prob, pairs)), dtype=np.float64)
-    return np.array([prob(p) for p in pairs], dtype=np.float64)
-
-
 def _load_model(path: str):
     """A checkpoint and what serving takes from its config: (checkpoint,
     schema, target relation id, n_assoc).  What training used is what
@@ -359,7 +349,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"no pairs for the model's target relation "
             f"{target_name!r} in {cfg['pairs']}"
         )
-    probs = _predict_many(checkpoint.params, pairs, n_assoc, n_assoc, cfg["threads"])
+    probs = predict_probabilities(
+        checkpoint.params, pairs, n_assoc, n_assoc, threads=cfg["threads"]
+    )
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     precision, recall, f1 = f1_score(probs, labels, threshold=cfg["threshold"])
     if cfg["dump"]:

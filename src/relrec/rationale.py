@@ -49,6 +49,18 @@ per pair at large scale) were tried and not kept: BLAS then sums the
 relation gradient over another set of pairs, which moved its last bits,
 and the scatter they need made the backward slower.
 
+Many queries are scored in one forward by `grid_probabilities`: the
+cross grids of Q queries, all of one n_head x n_tail shape, are stacked
+into one pair set.  Scores, posteriors, pair representations and
+attention logits are per pair and run once over the stack, each distinct
+entity of the stack projected once; the attention softmax, the pooling
+and the logit are per query, over a (Q, P) reshape.  `prediction_forward`
+is the Q = 1 case of the same steps (`_forward`).  The attention logits
+and the pooling take one BLAS product per query, as a lone query does,
+so a stacked query's probability agrees with its own
+`prediction_forward` one to rounding.  How many queries share a forward
+is set by `training.predict_probabilities`, which sizes the chunks.
+
 `prediction_forward` keeps every intermediate needed by
 `prediction_backward`, which implements the full analytic gradient of
 the pipeline.  Association membership and survivor sets are discrete
@@ -235,20 +247,24 @@ def pair_representation(
 
 
 def _attention(
-    params: ModelParams, pair_reprs: np.ndarray
+    params: ModelParams, pair_reprs: np.ndarray, n_queries: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attention hidden layer tanh(W e + b), logits v . hidden and their
-    softmax over the pairs."""
+    softmax over each query's pairs, for `n_queries` stacked pair sets of
+    P pairs each: logits and weights are (n_queries, P).  The logits are
+    one matrix-vector product per query, as for a lone query: BLAS sums
+    a row's product in an order that depends on the row's place in the
+    matrix."""
     hidden = pair_reprs @ params.attn_weight.T
     hidden += params.attn_bias
     np.tanh(hidden, out=hidden)
-    logits = hidden @ params.attn_vector
+    logits = hidden.reshape(n_queries, -1, hidden.shape[1]) @ params.attn_vector
     return hidden, logits, stable_softmax(logits)
 
 
 def attention_weights(params: ModelParams, pair_reprs: np.ndarray) -> np.ndarray:
     """Softmax over per-pair attention logits v . tanh(W e + b)."""
-    return _attention(params, pair_reprs)[2]
+    return _attention(params, pair_reprs)[2][0]
 
 
 def _tanh_slope(h: np.ndarray) -> np.ndarray:
@@ -292,6 +308,46 @@ def _grid_sums(
     return by_head, by_tail
 
 
+def _forward(
+    params: ModelParams, structure: PredictionStructure, n_queries: int
+) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward steps of `n_queries` queries whose pair sets are
+    stacked in `structure`, query by query, P pairs each (see the module
+    docstring).  Returns the per-pair fields of `PredictionTrace`, in its
+    field order, then the (n_queries, P) attention, the (n_queries, 1,
+    d_p) pooled vectors and the (n_queries, 1) logits."""
+    pair_heads = structure.pair_heads
+    pair_tails = structure.pair_tails
+    if len(pair_heads) == 0:
+        raise ValueError("prediction needs at least one association pair")
+
+    heads = Distinct(*np.unique(pair_heads, return_inverse=True))
+    tails = Distinct(*np.unique(pair_tails, return_inverse=True))
+    scores, na_scores, head_rows, survivors, posterior, na_mass = _posterior_grid(
+        params, heads, pair_tails, structure.survivors
+    )
+    if structure.survivors is None:
+        structure = replace(structure, survivors=survivors)
+    d, n_rel = params.dims.d, params.dims.n_rel
+    # The assumption block a @ W_a is posterior @ (R @ W_a), of rank n_rel.
+    w_assum = params.pair_weight[2 * d :]
+    pair_reprs = _pair_projection(
+        params, heads, tails, posterior @ (params.relation_emb[:n_rel] @ w_assum)
+    )
+    attn_hidden, attn_logits, attn = _attention(params, pair_reprs, n_queries)
+    # (Q, 1, P) @ (Q, P, d_p), then (Q, 1, d_p) @ (d_p,): one BLAS call per
+    # query, the same as for a lone query's vectors.
+    pooled = np.matmul(
+        attn[:, None, :], pair_reprs.reshape(n_queries, -1, pair_reprs.shape[1])
+    )
+    logits = pooled @ params.out_weight + params.out_bias
+    per_pair = (
+        structure, scores, na_scores, head_rows, posterior, na_mass, heads,
+        tails, pair_reprs, attn_hidden, attn_logits.ravel(),
+    )
+    return per_pair, attn, pooled, logits
+
+
 def prediction_forward(
     params: ModelParams,
     head: int,
@@ -315,45 +371,32 @@ def prediction_forward(
             top_associations(params, head, n_head),
             top_associations(params, tail, n_tail),
         )
-    pair_heads = structure.pair_heads
-    pair_tails = structure.pair_tails
-    if len(pair_heads) == 0:
-        raise ValueError("prediction needs at least one association pair")
-
-    heads = Distinct(*np.unique(pair_heads, return_inverse=True))
-    tails = Distinct(*np.unique(pair_tails, return_inverse=True))
-    scores, na_scores, head_rows, survivors, posterior, na_mass = _posterior_grid(
-        params, heads, pair_tails, structure.survivors
-    )
-    if structure.survivors is None:
-        structure = replace(structure, survivors=survivors)
-    d, n_rel = params.dims.d, params.dims.n_rel
-    # The assumption block a @ W_a is posterior @ (R @ W_a), of rank n_rel.
-    w_assum = params.pair_weight[2 * d :]
-    pair_reprs = _pair_projection(
-        params, heads, tails, posterior @ (params.relation_emb[:n_rel] @ w_assum)
-    )
-    attn_hidden, attn_logits, attn = _attention(params, pair_reprs)
-    pooled = attn @ pair_reprs
-    logit = float(params.out_weight @ pooled + params.out_bias)
-    probability = float(sigmoid(logit))
+    per_pair, attn, pooled, logits = _forward(params, structure, 1)
+    logit = float(logits[0, 0])
     return PredictionTrace(
-        structure=structure,
-        scores=scores,
-        na_scores=na_scores,
-        head_rows=head_rows,
-        posterior=posterior,
-        na_mass=na_mass,
-        heads=heads,
-        tails=tails,
-        pair_reprs=pair_reprs,
-        attn_hidden=attn_hidden,
-        attn_logits=attn_logits,
-        attn=attn,
-        pooled=pooled,
+        *per_pair,
+        attn=attn[0],
+        pooled=pooled[0, 0],
         logit=logit,
-        probability=probability,
+        probability=float(sigmoid(logit)),
     )
+
+
+def grid_probabilities(
+    params: ModelParams, head_ids: np.ndarray, tail_ids: np.ndarray
+) -> np.ndarray:
+    """Probabilities of Q queries from their association lists, given as
+    (Q, n_head) head and (Q, n_tail) tail entity ids: the Q cross grids
+    are stacked into one pair set and go through one forward.  Each
+    agrees with `prediction_forward(...).probability` to rounding."""
+    n_queries, n_head = head_ids.shape
+    n_tail = tail_ids.shape[1]
+    stacked = PredictionStructure(
+        np.repeat(head_ids, n_tail, axis=1).ravel(),
+        np.tile(tail_ids, (1, n_head)).ravel(),
+    )
+    logits = _forward(params, stacked, n_queries)[-1][:, 0]
+    return sigmoid(logits.astype(np.float64, copy=False))
 
 
 def prediction_backward(

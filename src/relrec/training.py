@@ -9,6 +9,17 @@ All three stages update the same entity embeddings through one Adam
 state; the relation table is shared by stages (b) and (c).  Early
 stopping tracks dev F1 with a patience window and the parameters of the
 best dev epoch are returned (latest epoch on ties).
+
+The prediction step runs one forward and backward per query.  Scoring
+without gradients, for dev evaluation and `relrec evaluate`, goes
+through `predict_probabilities`: each distinct entity is recalled once,
+and the queries are scored in chunks, each chunk one forward over its
+stacked association grids (`rationale.grid_probabilities`).  A chunk
+holds as many queries as keep its (Q * P, d_p) and (Q * P, d_a)
+temporaries within about 1 MiB, the residual grid's block size: 4
+queries at quickstart dims (P = 16 x 16, d = 32), 1 at large dims
+(P = 32 x 32, d = 128).  So memory does not grow with the number of
+pairs scored.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import csv
 import logging
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -31,9 +43,15 @@ from .params import (
     adam_step,
     init_params,
 )
-from .rationale import prediction_backward, prediction_forward
-from .recall import recall_loss
-from .relational import LabeledPair, RelationSchema, TripleSet, relational_loss
+from .rationale import grid_probabilities, prediction_backward, prediction_forward
+from .recall import recall_loss, top_associations
+from .relational import (
+    _GRID_BLOCK_BYTES,
+    LabeledPair,
+    RelationSchema,
+    TripleSet,
+    relational_loss,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -198,13 +216,57 @@ def predict_probabilities(
     pairs: list[LabeledPair],
     n_head: int,
     n_tail: int,
+    *,
+    threads: int = 1,
 ) -> np.ndarray:
-    probs = np.empty(len(pairs), dtype=np.float64)
-    for i, pair in enumerate(pairs):
-        probs[i] = prediction_forward(
-            params, pair.head, pair.tail, n_head, n_tail
-        ).probability
-    return probs
+    """The model's probability for each pair, equal to its
+    `prediction_forward(...).probability` to rounding.
+
+    Each distinct entity is recalled once.  The queries are then scored
+    in chunks by `grid_probabilities`, each chunk one forward over its
+    stacked association grids; `_chunk_queries` sizes them.  With
+    `threads` > 1 the chunks are spread over that many threads; the
+    chunks are the same at any thread count, and so are the results.
+    """
+    if not pairs:
+        return np.empty(0, dtype=np.float64)
+    # The top n of an entity are the first n of its top max(n_head, n_tail).
+    n_max = max(n_head, n_tail)
+    recalled = {
+        e: top_associations(params, e, n_max).entity_ids
+        for e in {p.head for p in pairs} | {p.tail for p in pairs}
+    }
+    # Every list holds min(n, V - 1) entities, so all grids have one shape.
+    n_pairs = len(recalled[pairs[0].head][:n_head]) * len(
+        recalled[pairs[0].tail][:n_tail]
+    )
+    chunk = _chunk_queries(params, n_pairs)
+
+    def score(lo: int) -> np.ndarray:
+        batch = pairs[lo : lo + chunk]
+        return grid_probabilities(
+            params,
+            np.stack([recalled[p.head][:n_head] for p in batch]),
+            np.stack([recalled[p.tail][:n_tail] for p in batch]),
+        )
+
+    starts = range(0, len(pairs), chunk)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.concatenate(list(pool.map(score, starts)))
+    return np.concatenate([score(lo) for lo in starts])
+
+
+def _chunk_queries(params: ModelParams, n_pairs: int) -> int:
+    """Queries per scoring chunk of `n_pairs` pairs each: as many as keep
+    the chunk's pair-set temporaries within one residual grid block's
+    bytes, and at least one.  The pair projection holds up to three
+    (Q * n_pairs, d_p) arrays at once (assumption block, gathered head
+    and tail rows), and the attention adds a (Q * n_pairs, d_a) hidden
+    layer.  At quickstart dims that is 4 queries, at large dims 1."""
+    dims = params.dims
+    per_query = n_pairs * (3 * dims.d_p + dims.d_a) * params.dtype.itemsize
+    return max(1, _GRID_BLOCK_BYTES // per_query)
 
 
 def joint_train(

@@ -11,6 +11,7 @@ import pytest
 
 import relrec.cli
 import relrec.graph
+import relrec.training
 from relrec.cli import main
 from relrec.evaluation import DataError, load_pairs_tsv
 from relrec.graph import GraphFormatError, load_cooc_graph
@@ -122,17 +123,23 @@ class TestPipeline:
         assert label in ("0", "1")
         assert 0.0 <= float(prob) <= 1.0
 
-    def test_evaluate_threads_match_single(self, workspace, capsys):
+    def test_evaluate_threads_match_single(
+        self, workspace, capsys, tmp_path, monkeypatch
+    ):
+        # Chunks of 3 queries, so that both threads score several chunks.
+        monkeypatch.setattr(relrec.training, "_chunk_queries", lambda *_: 3)
         argv = ["evaluate", "--model", str(workspace["model"]),
                 "--pairs", str(workspace["splits"] / "test.tsv")]
-        code1, out1, _ = run(argv, capsys)
-        code2, out2, _ = run(argv + ["--threads", "2"], capsys)
-        assert code1 == code2 == 0
-        a = json.loads(out1.strip().splitlines()[0])
-        b = json.loads(out2.strip().splitlines()[0])
-        assert (a["precision"], a["recall"], a["f1"]) == (
-            b["precision"], b["recall"], b["f1"],
-        )
+        results = []
+        for threads in ("1", "2"):
+            dump = tmp_path / f"probs{threads}.tsv"
+            code, out, _ = run(
+                argv + ["--threads", threads, "--dump", str(dump)], capsys
+            )
+            assert code == 0
+            results.append((out, dump.read_bytes()))
+        assert len(results[0][1].splitlines()) > 6
+        assert results[0] == results[1]
 
     def test_rationalize_owa(self, workspace, capsys):
         pairs = load_split(workspace, "test")
@@ -845,7 +852,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise KeyError("n_head")
 
-        monkeypatch.setattr(relrec.cli, "_predict_many", broken)
+        monkeypatch.setattr(relrec.cli, "predict_probabilities", broken)
         with pytest.raises(KeyError, match="n_head"):
             main(["evaluate", "--model", str(workspace["model"]),
                   "--pairs", str(workspace["splits"] / "test.tsv")])

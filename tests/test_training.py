@@ -294,6 +294,118 @@ class TestPredictionLoss:
             prediction_loss(params, [], 2, 2)
 
 
+def random_model(vocab_size, d, seed=0, n_rel=3, dtype=np.float64):
+    params = init_params(ModelDims.square(d, n_rel), vocab_size, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, tensor in params.tensors().items():
+        setattr(params, name, rng.normal(0.0, 0.4, size=tensor.shape).astype(dtype))
+    return params
+
+
+def random_pairs(vocab_size, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        LabeledPair(head=int(h), tail=int(t), label=int(h < t), relation=0)
+        for h, t in rng.integers(0, vocab_size, size=(n, 2))
+    ]
+
+
+class TestBatchedScoring:
+    """`predict_probabilities` recalls each entity once and scores chunks
+    of queries in one forward over their stacked association grids; each
+    probability is the query's own `prediction_forward` one."""
+
+    QUICKSTART = dict(vocab_size=300, d=32)  # with 16 associations per side
+
+    @staticmethod
+    def check(params, pairs, n_head, n_tail):
+        got = training.predict_probabilities(params, pairs, n_head, n_tail)
+        expected = np.array(
+            [
+                training.prediction_forward(
+                    params, p.head, p.tail, n_head, n_tail
+                ).probability
+                for p in pairs
+            ]
+        )
+        assert got.dtype == np.float64 and got.shape == (len(pairs),)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        return got
+
+    def test_queries_not_a_multiple_of_the_chunk(self):
+        params = random_model(**self.QUICKSTART)
+        chunk = training._chunk_queries(params, 16 * 16)
+        assert chunk == 4
+        pairs = random_pairs(300, 3 * chunk - 1)
+        self.check(params, pairs, 16, 16)
+
+    def test_repeated_pairs_and_shared_entities(self, monkeypatch):
+        # 12 entities and 5 associations per side: association lists
+        # overlap, and entities are heads of one query and tails of another.
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: 3)
+        params = random_model(12, 6, seed=1)
+        pairs = random_pairs(12, 5, seed=1)
+        pairs += [pairs[0], pairs[0]] + [
+            LabeledPair(head=p.tail, tail=p.head, label=0, relation=0)
+            for p in pairs[:3]
+        ]
+        got = self.check(params, pairs, 5, 5)
+        assert got[0] == got[5] == got[6]
+
+    @pytest.mark.parametrize("n_head, n_tail", [(5, 2), (2, 7)])
+    def test_head_and_tail_counts_differ(self, monkeypatch, n_head, n_tail):
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: 3)
+        params = random_model(40, 6, seed=2)
+        self.check(params, random_pairs(40, 8, seed=2), n_head, n_tail)
+
+    def test_vocabulary_smaller_than_the_grid(self, monkeypatch):
+        # 6 entities, 8 associations asked: each list holds the other 5,
+        # so the grid is 5 x 5, not 8 x 8.
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: 3)
+        params = random_model(6, 4, seed=3)
+        pairs = random_pairs(6, 7, seed=3)
+        trace = training.prediction_forward(params, pairs[0].head, pairs[0].tail, 8, 8)
+        assert len(trace.structure.pair_heads) == 25
+        self.check(params, pairs, 8, 8)
+
+    @pytest.mark.parametrize(
+        "vocab_size, d, n_head, n_tail", [(300, 32, 16, 16), (40, 6, 5, 3)]
+    )
+    def test_float32_parameters(self, monkeypatch, vocab_size, d, n_head, n_tail):
+        # Float32 leaves no headroom below 1e-12: a stacked query must be
+        # computed exactly as a lone one, also for a grid of an odd number
+        # of pairs, which BLAS kernels split unevenly.
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: 4)
+        params = random_model(vocab_size, d, seed=4, dtype=np.float32)
+        assert params.dtype == np.float32
+        self.check(params, random_pairs(vocab_size, 9, seed=4), n_head, n_tail)
+
+    def test_empty_pair_list(self):
+        params = random_model(12, 4)
+        got = training.predict_probabilities(params, [], 3, 3)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    def test_same_bytes_on_every_call_and_thread_count(self):
+        params = random_model(**self.QUICKSTART, seed=5)
+        pairs = random_pairs(300, 10, seed=5)
+        first = training.predict_probabilities(params, pairs, 16, 16).tobytes()
+        assert training.predict_probabilities(params, pairs, 16, 16).tobytes() == first
+        threaded = training.predict_probabilities(params, pairs, 16, 16, threads=2)
+        assert threaded.tobytes() == first
+
+    def test_peak_memory_does_not_grow_with_queries(self, traced_peak):
+        # Quickstart dims with the default initialization: 4 queries fill
+        # one chunk, 64 make 16 chunks of the same size.
+        params = init_params(ModelDims.square(32, 4), 300, seed=0)
+        pairs = random_pairs(300, 64, seed=6)
+        peaks = {}
+        for n in (4, 64):
+            _, peaks[n], _ = traced_peak(
+                lambda n=n: training.predict_probabilities(params, pairs[:n], 16, 16)
+            )
+        assert peaks[64] <= 1.25 * peaks[4]
+
+
 class TestTrainingLog:
     def test_round_trip_exact(self, tmp_path, tiny_world):
         world, ppmi, train, dev = tiny_world
