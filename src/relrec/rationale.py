@@ -29,37 +29,47 @@ residuals head + relation - tail is formed once per distinct head and
 kept in the trace as `head_rows`; the (P, n_rel + 1, d) residual grid
 itself is never held whole.  The forward streams it through blocks of
 about 1 MiB of pairs (gather head rows, subtract tails, abs, sum over d),
-and the backward rebuilds it the same way to write the full sign grid
-its two matmuls take.  A grid of one block (every quickstart-sized
-query) is left in the thread's block buffer, so a backward that follows
-its forward takes it from there.  The element operations and the sum
-over d are those of the whole grid, so scores, survivors, posteriors and
-gradients are the same bit for bit at any block size.  The backward pass
-sums each pair's gradient per distinct entity once: over an OWA grid
-(`PredictionStructure.grid`) as sums along the rows and columns of its
-n_head x n_tail layout, over an explicit pair list (CWA, tests) with a
-0/1 matmul.  The entity gradient is non-zero only on those association
-rows, so `prediction_loss` keeps one dense batch gradient and each
-backward adds its head rows, then its tail rows, into it.  This is
-exact algebra, not an approximation: the scores and survivor sets are
-bit-for-bit those of the per-pair form, the rest agrees to rounding.
+and the backward needs the full sign grid for its two matmuls.  The
+forward of a training step (`stacked_forward(..., signs=True)`) writes
+the signs into the thread's sign buffer as the blocks pass, and the
+backward of that trace takes them from there.  The backward of any
+other trace (a serving forward's, in tests) rebuilds the residuals
+block by block.  The element operations and the sum over d are
+those of the whole grid, so scores, survivors, posteriors and gradients
+are the same bit for bit at any block size, and with signs from the
+forward or rebuilt.  The backward pass sums each pair's gradient per
+distinct entity once: over an OWA grid (`PredictionStructure.grid`) as
+sums along the rows and columns of its n_head x n_tail layout, over an
+explicit pair list (CWA, tests) with a 0/1 matmul.  The entity gradient
+is non-zero only on those association rows, so `prediction_loss` keeps
+one dense batch gradient and each backward adds its head rows, then its
+tail rows, into it.  This is exact algebra, not an approximation: the
+scores and survivor sets are bit-for-bit those of the per-pair form, the
+rest agrees to rounding.
 
 Signs for the survivor rows alone (the NA row plus about 0.2 of n_rel
 per pair at large scale) were tried and not kept: BLAS then sums the
 relation gradient over another set of pairs, which moved its last bits,
 and the scatter they need made the backward slower.
 
-Many queries are scored in one forward by `grid_probabilities`: the
-cross grids of Q queries, all of one n_head x n_tail shape, are stacked
-into one pair set.  Scores, posteriors, pair representations and
-attention logits are per pair and run once over the stack, each distinct
-entity of the stack projected once; the attention softmax, the pooling
-and the logit are per query, over a (Q, P) reshape.  `prediction_forward`
-is the Q = 1 case of the same steps (`_forward`).  The attention logits
-and the pooling take one BLAS product per query, as a lone query does,
-so a stacked query's probability agrees with its own
-`prediction_forward` one to rounding.  How many queries share a forward
-is set by `training.predict_probabilities`, which sizes the chunks.
+Many queries go through one forward and one backward: the cross grids
+of Q queries, all of one n_head x n_tail shape, are stacked into one pair
+set (`stack_grids`) and scored by `stacked_forward`.  Scores,
+posteriors, pair representations and attention logits are per pair and
+run once over the stack, each distinct entity of the stack projected
+once; the attention softmax, the pooling and the logit are per query,
+over a (Q, P) reshape.  `prediction_backward` takes such a trace and the
+Q queries' logit gradients and returns the sum of their gradients: the
+tanh slopes, the pair projection, the posterior, the sign grid and the
+relation matmuls run once over the stack, the attention softmax backward
+per query over (Q, P), and the per-entity sums per query over a (Q,
+n_head, n_tail, k) reshape, whose head and tail rows are then added into
+the entity gradient query by query.  `prediction_forward` and a backward
+of its trace are the Q = 1 case of the same steps.  The attention
+logits, the pooling and their backward take one BLAS product per query,
+as a lone query does, so a stacked query's probability and gradients
+agree with its own to rounding.  How many queries share a chunk is set
+by `training._chunk_queries`.
 
 `prediction_forward` keeps every intermediate needed by
 `prediction_backward`, which implements the full analytic gradient of
@@ -101,9 +111,10 @@ class PredictionStructure:
     pair_heads: np.ndarray  # (P,) entity ids
     pair_tails: np.ndarray  # (P,)
     survivors: np.ndarray | None = None  # (P, n_rel) bool; None: not chosen yet
-    # True when the pairs are the full n_head x n_tail grid of two
-    # association lists in `_cross_grid` order; an explicit pair list is not.
-    grid: bool = False
+    # For Q stacked full n_head x n_tail grids of association lists in
+    # `_cross_grid` order, their (Q, n_head) head and (Q, n_tail) tail
+    # ids (`stack_grids`); None for an explicit pair list.
+    grid: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -119,10 +130,12 @@ class PredictionTrace:
     pair_reprs: np.ndarray  # (P, d_p)
     attn_hidden: np.ndarray  # (P, d_a) tanh of attention hidden layer
     attn_logits: np.ndarray  # (P,)
-    attn: np.ndarray  # (P,)
-    pooled: np.ndarray  # (d_p,)
-    logit: float
-    probability: float
+    # Per query: (P,), (d_p,) and floats for one query; (Q, P), (Q, d_p)
+    # and (Q,) arrays for a stack of Q (`stacked_forward`).
+    attn: np.ndarray
+    pooled: np.ndarray
+    logit: float | np.ndarray
+    probability: float | np.ndarray
 
 
 @dataclass
@@ -273,49 +286,80 @@ def _tanh_slope(h: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, slope, out=slope)
 
 
-def _cross_grid(
-    head_assoc: AssociationList, tail_assoc: AssociationList
+def stack_grids(
+    head_ids: np.ndarray, tail_ids: np.ndarray, survivors: np.ndarray | None = None
 ) -> PredictionStructure:
-    """The full n_head x n_tail association grid, head-major: pair
-    i * n_tail + j joins head association i with tail association j."""
-    heads, tails = head_assoc.entity_ids, tail_assoc.entity_ids
+    """The full association grids of Q queries, given as (Q, n_head) head
+    and (Q, n_tail) tail entity ids, stacked query by query into one pair
+    set.  Each grid is head-major: its pair i * n_tail + j joins head
+    association i with tail association j."""
+    n_head, n_tail = head_ids.shape[1], tail_ids.shape[1]
     return PredictionStructure(
-        np.repeat(heads, len(tails)), np.tile(tails, len(heads)), grid=True
+        np.repeat(head_ids, n_tail, axis=1).ravel(),
+        np.tile(tail_ids, (1, n_head)).ravel(),
+        survivors,
+        grid=(head_ids, tail_ids),
     )
 
 
-def _row_sums(inverse: np.ndarray, n_rows: int, *values: np.ndarray) -> list:
-    """Sum the rows of each (P, k) array by group, `inverse` mapping each
-    of the P rows to its group, through one (n_rows, P) 0/1 matmul."""
-    onehot = np.zeros((n_rows, len(inverse)), dtype=values[0].dtype)
-    onehot[inverse, np.arange(len(inverse))] = 1.0
-    return [onehot @ v for v in values]
+def _cross_grid(
+    head_assoc: AssociationList, tail_assoc: AssociationList
+) -> PredictionStructure:
+    """The full n_head x n_tail association grid of one query."""
+    return stack_grids(head_assoc.entity_ids[None], tail_assoc.entity_ids[None])
 
 
-def _grid_sums(
-    heads: Distinct, tails: Distinct, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head and per-tail sums of a (P, k) array over a `_cross_grid`
-    pair set, each in `Distinct` order.  Association lists repeat no
-    entity, so the grid is len(heads.ids) x len(tails.ids), and head
-    association i is pair i * n_tail."""
-    n_head, n_tail = len(heads.ids), len(tails.ids)
-    cells = values.reshape(n_head, n_tail, -1)
-    by_head = np.empty((n_head, cells.shape[2]), dtype=values.dtype)
-    by_head[heads.inverse[::n_tail]] = cells.sum(axis=1)
-    by_tail = np.empty((n_tail, cells.shape[2]), dtype=values.dtype)
-    by_tail[tails.inverse[:n_tail]] = cells.sum(axis=0)
-    return by_head, by_tail
+def _pair_list_sums(heads: Distinct, tails: Distinct, *values: np.ndarray) -> tuple:
+    """Per-entity sums of (P, k) arrays over an explicit pair list, laid
+    out as those of `_grid_sums` for one group: the (1, U_h) distinct
+    heads, each array's (1, U_h, k) head sums, taken through one
+    (U_h, P) 0/1 matmul, then the same for the tails."""
+    out = []
+    for side in (heads, tails):
+        onehot = np.zeros((len(side.ids), len(side.inverse)), dtype=values[0].dtype)
+        onehot[side.inverse, np.arange(len(side.inverse))] = 1.0
+        out += [side.ids[None], *((onehot @ v)[None] for v in values)]
+    return tuple(out)
+
+
+def _grid_sums(grid: tuple[np.ndarray, np.ndarray], *values: np.ndarray) -> tuple:
+    """Per-entity sums of (Q * n_head * n_tail, k) arrays over the stacked
+    grids `grid` (`stack_grids`), query by query: the (Q, n_head) head
+    ids, each array's (Q, n_head, k) head sums, then the same for the
+    tails.  Association lists repeat no entity, so each query's sums are
+    along the axes of its n_head x n_tail layout.  Its entities are put
+    in ascending id order, that of `Distinct` and `_pair_list_sums`, so
+    the pair-weight products sum a query's rows in one order whichever
+    way its pairs are given."""
+    head_ids, tail_ids = grid
+    n_queries, n_head = head_ids.shape
+    n_tail = tail_ids.shape[1]
+    # Each query's rows in id order, as indices into its (Q * n, k) rows.
+    by_head = np.argsort(head_ids, axis=1)
+    by_head += np.arange(0, n_queries * n_head, n_head)[:, None]
+    by_tail = np.argsort(tail_ids, axis=1)
+    by_tail += np.arange(0, n_queries * n_tail, n_tail)[:, None]
+    heads, tails = [head_ids.ravel()[by_head]], [tail_ids.ravel()[by_tail]]
+    for v in values:
+        cells = v.reshape(n_queries, n_head, n_tail, -1)
+        k = cells.shape[3]
+        heads.append(cells.sum(axis=2).reshape(-1, k)[by_head])
+        tails.append(cells.sum(axis=1).reshape(-1, k)[by_tail])
+    return (*heads, *tails)
 
 
 def _forward(
-    params: ModelParams, structure: PredictionStructure, n_queries: int
+    params: ModelParams,
+    structure: PredictionStructure,
+    n_queries: int,
+    signs: bool = False,
 ) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
     """The forward steps of `n_queries` queries whose pair sets are
     stacked in `structure`, query by query, P pairs each (see the module
     docstring).  Returns the per-pair fields of `PredictionTrace`, in its
     field order, then the (n_queries, P) attention, the (n_queries, 1,
-    d_p) pooled vectors and the (n_queries, 1) logits."""
+    d_p) pooled vectors and the (n_queries, 1) logits.  `signs` asks
+    `_posterior_grid` to write the residual signs for the backward."""
     pair_heads = structure.pair_heads
     pair_tails = structure.pair_tails
     if len(pair_heads) == 0:
@@ -324,7 +368,7 @@ def _forward(
     heads = Distinct(*np.unique(pair_heads, return_inverse=True))
     tails = Distinct(*np.unique(pair_tails, return_inverse=True))
     scores, na_scores, head_rows, survivors, posterior, na_mass = _posterior_grid(
-        params, heads, pair_tails, structure.survivors
+        params, heads, pair_tails, structure.survivors, signs
     )
     if structure.survivors is None:
         structure = replace(structure, survivors=survivors)
@@ -382,32 +426,38 @@ def prediction_forward(
     )
 
 
-def grid_probabilities(
-    params: ModelParams, head_ids: np.ndarray, tail_ids: np.ndarray
-) -> np.ndarray:
-    """Probabilities of Q queries from their association lists, given as
-    (Q, n_head) head and (Q, n_tail) tail entity ids: the Q cross grids
-    are stacked into one pair set and go through one forward.  Each
-    agrees with `prediction_forward(...).probability` to rounding."""
-    n_queries, n_head = head_ids.shape
-    n_tail = tail_ids.shape[1]
-    stacked = PredictionStructure(
-        np.repeat(head_ids, n_tail, axis=1).ravel(),
-        np.tile(tail_ids, (1, n_head)).ravel(),
+def stacked_forward(
+    params: ModelParams, structure: PredictionStructure, *, signs: bool = False
+) -> PredictionTrace:
+    """The forward of the Q queries stacked in `structure` (`stack_grids`)
+    as one trace: its per-pair fields run over the stack, and its attn,
+    pooled, logit and probability are (Q, P), (Q, d_p), (Q,) and (Q,).
+    Each probability agrees with `prediction_forward(...).probability`
+    to rounding.  With `signs` (a training step), the residual signs are
+    written for the `prediction_backward` of this trace that follows."""
+    n_queries = len(structure.grid[0])
+    per_pair, attn, pooled, logits = _forward(params, structure, n_queries, signs)
+    logits = logits[:, 0]
+    return PredictionTrace(
+        *per_pair,
+        attn=attn,
+        pooled=pooled[:, 0],
+        logit=logits,
+        probability=sigmoid(logits.astype(np.float64, copy=False)),
     )
-    logits = _forward(params, stacked, n_queries)[-1][:, 0]
-    return sigmoid(logits.astype(np.float64, copy=False))
 
 
 def prediction_backward(
     params: ModelParams,
     trace: PredictionTrace,
-    dlogit: float,
+    dlogit: float | np.ndarray,
     *,
     entity_grad: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of the pipeline output logit scaled by `dlogit`,
-    holding association membership and survivor sets constant.
+    holding association membership and survivor sets constant.  Given a
+    `stacked_forward` trace of Q queries and their (Q,) `dlogit`, it is
+    the sum of the Q queries' gradients; a lone query is the case Q = 1.
 
     Gradients flow through the logistic head, the attention softmax, the
     tanh pair representations, the assumption vectors, the thresholded
@@ -422,21 +472,29 @@ def prediction_backward(
     """
     dims = params.dims
     d, n_rel = dims.d, dims.n_rel
-    attn = trace.attn
-    e_repr = trace.pair_reprs
+    attn = np.atleast_2d(trace.attn)  # (Q, P)
+    n_queries = len(attn)
+    dlogits = np.asarray(dlogit, dtype=params.dtype).reshape(n_queries)
+    e_repr = trace.pair_reprs  # (Q * P, d_p)
+    d_p = e_repr.shape[1]
 
     grads: dict[str, np.ndarray] = {
         "relation_emb": np.zeros_like(params.relation_emb),
     }
     if entity_grad is None:
         entity_grad = grads["entity_emb"] = np.zeros_like(params.entity_emb)
-    grads["out_weight"] = dlogit * trace.pooled
-    grads["out_bias"] = np.asarray(dlogit, dtype=params.dtype)
+    grads["out_weight"] = dlogits @ trace.pooled.reshape(n_queries, d_p)
+    grads["out_bias"] = np.asarray(dlogits.sum())
 
-    d_pooled = dlogit * params.out_weight  # (d_p,)
-    d_repr = attn[:, None] * d_pooled[None, :]  # (P, d_p)
-    d_attn = e_repr @ d_pooled  # (P,)
-    d_attn_logits = attn * (d_attn - attn @ d_attn)
+    # Per query: (Q, P) reshapes, one BLAS product per query as for a
+    # lone one.
+    d_pooled = dlogits[:, None] * params.out_weight  # (Q, d_p)
+    d_repr = (attn[:, :, None] * d_pooled[:, None, :]).reshape(-1, d_p)
+    d_attn = np.matmul(
+        e_repr.reshape(n_queries, -1, d_p), d_pooled[:, :, None]
+    )[:, :, 0]  # (Q, P)
+    inner = np.matmul(attn[:, None, :], d_attn[:, :, None])[:, 0]  # (Q, 1)
+    d_attn_logits = (attn * (d_attn - inner)).ravel()  # (Q * P,)
     grads["attn_vector"] = trace.attn_hidden.T @ d_attn_logits
     # d_attn_logits * v * (1 - h**2), the tanh slope formed in place.
     d_hidden = _tanh_slope(trace.attn_hidden)
@@ -447,7 +505,7 @@ def prediction_backward(
 
     # Pair projection pre = E[h] @ W_h + E[t] @ W_t + posterior @ R @ W_a + b.
     d_pre = d_repr
-    d_pre *= _tanh_slope(e_repr)  # (P, d_p)
+    d_pre *= _tanh_slope(e_repr)  # (Q * P, d_p)
     w_head, w_tail, w_assum = (
         params.pair_weight[:d],
         params.pair_weight[d : 2 * d],
@@ -457,11 +515,11 @@ def prediction_backward(
     d_pre_by_rel = trace.posterior.T @ d_pre  # (n_rel, d_p)
     grads["relation_emb"][:n_rel] += d_pre_by_rel @ w_assum.T
     grads["pair_bias"] = d_pre.sum(axis=0)
-    d_post = d_pre @ (w_assum.T @ rel_fwd.T)  # (P, n_rel)
+    d_post = d_pre @ (w_assum.T @ rel_fwd.T)  # (Q * P, n_rel)
 
     # Softmax over the active set {NA} + survivors; NA receives no direct
     # gradient from the assumption vector but shifts the normalizer.
-    inner = (d_post * trace.posterior).sum(axis=1)  # (P,)
+    inner = (d_post * trace.posterior).sum(axis=1)  # (Q * P,)
     d_scores = trace.posterior * (d_post - inner[:, None])  # zero off-survivors
     d_na = -trace.na_mass * inner
     d_all_scores = np.concatenate([d_scores, d_na[:, None]], axis=1)
@@ -469,36 +527,34 @@ def prediction_backward(
     # L1 translation scores: residual u = head + rel - tail, score = -|u|.
     signs = _residual_signs(
         params, trace.head_rows, trace.heads.inverse, trace.structure.pair_tails
-    )  # (P, n_rel + 1, d)
-    pair_sign_sum = np.matmul(d_all_scores[:, None, :], signs)[:, 0, :]  # (P, d)
+    )  # (Q * P, n_rel + 1, d)
+    pair_sign_sum = np.matmul(d_all_scores[:, None, :], signs)[:, 0, :]  # (Q * P, d)
     rel_rows_grad = -np.matmul(
         d_all_scores.T[:, None, :], signs.transpose(1, 0, 2)
     )[:, 0, :]  # (n_rel + 1, d)
     grads["relation_emb"][:n_rel] += rel_rows_grad[:n_rel]
     grads["relation_emb"][dims.na_index] += rel_rows_grad[n_rel]
 
-    # Each distinct association entity gets its pairs' gradient once.
-    heads, tails = trace.heads.ids, trace.tails.ids
-    if trace.structure.grid:
-        d_pre_head, d_pre_tail = _grid_sums(trace.heads, trace.tails, d_pre)
-        sign_head, sign_tail = _grid_sums(trace.heads, trace.tails, pair_sign_sum)
+    # Each distinct association entity gets its pairs' gradient once per
+    # group: the queries of a grid stack, or the whole of a pair list.
+    if trace.structure.grid is not None:
+        per_entity = _grid_sums(trace.structure.grid, d_pre, pair_sign_sum)
     else:
-        d_pre_head, sign_head = _row_sums(
-            trace.heads.inverse, len(heads), d_pre, pair_sign_sum
-        )
-        d_pre_tail, sign_tail = _row_sums(
-            trace.tails.inverse, len(tails), d_pre, pair_sign_sum
-        )
+        per_entity = _pair_list_sums(trace.heads, trace.tails, d_pre, pair_sign_sum)
+    heads, d_pre_head, sign_head, tails, d_pre_tail, sign_tail = per_entity
     entity_emb = params.entity_emb
     grads["pair_weight"] = np.concatenate(
         [
-            entity_emb[heads].T @ d_pre_head,
-            entity_emb[tails].T @ d_pre_tail,
+            entity_emb[heads.ravel()].T @ d_pre_head.reshape(-1, d_p),
+            entity_emb[tails.ravel()].T @ d_pre_tail.reshape(-1, d_p),
             rel_fwd.T @ d_pre_by_rel,
         ]
     )
-    entity_grad[heads] += d_pre_head @ w_head.T - sign_head
-    entity_grad[tails] += d_pre_tail @ w_tail.T + sign_tail
+    head_grad = d_pre_head @ w_head.T - sign_head
+    tail_grad = d_pre_tail @ w_tail.T + sign_tail
+    for group in range(len(heads)):
+        entity_grad[heads[group]] += head_grad[group]
+        entity_grad[tails[group]] += tail_grad[group]
     return grads
 
 

@@ -266,10 +266,12 @@ def _thresholded_softmax(
 # (1024 pairs, 5 rows of d = 128) is 5 MiB in float64.
 _GRID_BLOCK_BYTES = 1 << 20
 
-# Per-thread buffers for the residual block, its absolute values and the
-# backward's sign grid.  Allocated afresh per call, they were page-faulted
-# in again and again: about 140 minor faults per quickstart-sized forward
-# and backward, which cost more than the arithmetic done in them.
+# Per-thread buffers for the residual block and the backward's sign grid.
+# Allocated afresh per call, they were page-faulted in again and again:
+# about 140 minor faults per quickstart-sized forward and backward, which
+# cost more than the arithmetic done in them.  Beside the buffers,
+# `kept_signs` holds the signs a training step's forward leaves for its
+# backward (see `_posterior_grid`, `_residual_signs`).
 _workspace = threading.local()
 
 
@@ -297,17 +299,10 @@ def _residual_blocks(
     `head_inverse` (P,) each pair's row in it and `pair_tails` (P,) each
     pair's tail id, whose embeddings are gathered one block at a time.
     Yields (lo, hi, block) with the residuals of
-    pairs lo:hi in `block`, this thread's block buffer, which callers
-    must not write to.  A grid that fits in one block stays in the buffer
-    until the next call: asked again for the same `head_rows` (a backward
-    right after its forward), the block is yielded as it is.
+    pairs lo:hi in `block`, this thread's block buffer, which the next
+    block overwrites.
     """
     n_pairs = len(head_inverse)
-    kept = getattr(_workspace, "grid", None)
-    if kept is not None and kept[0] is head_rows:
-        yield 0, n_pairs, kept[1]
-        return
-    _workspace.grid = None
     step = max(1, _GRID_BLOCK_BYTES // head_rows[0].nbytes)
     scratch = _scratch(
         "block", (min(step, n_pairs),) + head_rows.shape[1:], head_rows.dtype
@@ -318,8 +313,6 @@ def _residual_blocks(
         np.take(head_rows, head_inverse[lo:hi], axis=0, out=block, mode="clip")
         block -= entity_emb[pair_tails[lo:hi]][:, None, :]
         yield lo, hi, block
-    if n_pairs <= step:
-        _workspace.grid = (head_rows, block)
 
 
 def _posterior_grid(
@@ -327,11 +320,16 @@ def _posterior_grid(
     heads: Distinct,
     pair_tails: np.ndarray,
     frozen_survivors: np.ndarray | None,
+    signs: bool = False,
 ):
     """L1 translation scores of all pairs over the forward rows and the NA
     row, and their thresholded softmax.  Also returns head_rows, the
     (U_h, n_rel + 1, d) head + relation rows of the distinct heads; the
-    (P, n_rel + 1, d) residuals are only ever held one block at a time."""
+    (P, n_rel + 1, d) residuals are only ever held one block at a time.
+    With `signs`, the residual signs are written into this thread's sign
+    buffer as the blocks pass, for the next `_residual_signs` of
+    head_rows (a training step's backward), which then need not rebuild
+    the residuals."""
     dims = params.dims
     rows = np.concatenate([np.arange(dims.n_rel), [dims.na_index]])
     # head + relation once per distinct head, then minus each pair's tail.
@@ -341,16 +339,16 @@ def _posterior_grid(
     )
     n_pairs = len(pair_tails)
     all_scores = np.empty((n_pairs, len(rows)), dtype=head_rows.dtype)
+    if signs:
+        sign_grid = _scratch("signs", (n_pairs,) + head_rows.shape[1:], head_rows.dtype)
     for lo, hi, block in _residual_blocks(
         head_rows, heads.inverse, params.entity_emb, pair_tails
     ):
-        # A grid of one block is kept for the backward, so its magnitudes
-        # go to another buffer; a larger grid is not kept.
-        magnitude = block
-        if hi - lo == n_pairs:
-            magnitude = _scratch("abs", block.shape, block.dtype)
-        np.abs(block, out=magnitude)
-        magnitude.sum(axis=2, out=all_scores[lo:hi])
+        if signs:
+            np.sign(block, out=sign_grid[lo:hi])
+        np.abs(block, out=block)
+        block.sum(axis=2, out=all_scores[lo:hi])
+    _workspace.kept_signs = (head_rows, sign_grid) if signs else None
     np.negative(all_scores, out=all_scores)
     scores = all_scores[:, : dims.n_rel]
     na_scores = all_scores[:, dims.n_rel]
@@ -369,7 +367,12 @@ def _residual_signs(
     """sign(head + relation - tail) of all pairs, (P, n_rel + 1, d), in
     this thread's sign buffer: valid until the next call.  Each block's
     signs are written from the residual block into the grid, since
-    np.sign in place runs several times slower than into another array."""
+    np.sign in place runs several times slower than into another array.
+    Signs a forward of the same head_rows has just written (see
+    `_posterior_grid`) are taken as they are, once."""
+    kept, _workspace.kept_signs = getattr(_workspace, "kept_signs", None), None
+    if kept is not None and kept[0] is head_rows:
+        return kept[1]
     signs = _scratch("signs", (len(pair_tails),) + head_rows.shape[1:], head_rows.dtype)
     for lo, hi, block in _residual_blocks(
         head_rows, head_inverse, params.entity_emb, pair_tails

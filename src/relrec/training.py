@@ -10,16 +10,18 @@ state; the relation table is shared by stages (b) and (c).  Early
 stopping tracks dev F1 with a patience window and the parameters of the
 best dev epoch are returned (latest epoch on ties).
 
-The prediction step runs one forward and backward per query.  Scoring
-without gradients, for dev evaluation and `relrec evaluate`, goes
-through `predict_probabilities`: each distinct entity is recalled once,
-and the queries are scored in chunks, each chunk one forward over its
-stacked association grids (`rationale.grid_probabilities`).  A chunk
-holds as many queries as keep its (Q * P, d_p) and (Q * P, d_a)
-temporaries within about 1 MiB, the residual grid's block size: 4
-queries at quickstart dims (P = 16 x 16, d = 32), 1 at large dims
-(P = 32 x 32, d = 128).  So memory does not grow with the number of
-pairs scored.
+The prediction step and scoring without gradients (dev evaluation,
+`relrec evaluate` through `predict_probabilities`) share one chunker,
+`_grid_chunks`: each distinct entity of the pairs is recalled once, and
+the queries go in chunks, each chunk's association grids stacked into
+one pair set.  Scoring runs one forward per chunk
+(`rationale.stacked_forward`); the prediction step runs that forward,
+one `bce_loss` over the chunk and one backward over its stacked pairs
+(`rationale.prediction_backward`).  A chunk holds as many queries as
+keep its (Q * P, d_p) and (Q * P, d_a) temporaries within about 1 MiB,
+the residual grid's block size: 4 queries at quickstart dims
+(P = 16 x 16, d = 32), 1 at large dims (P = 32 x 32, d = 128), where
+nothing is stacked.  So memory does not grow with the number of pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ from .params import (
     adam_step,
     init_params,
 )
-from .rationale import grid_probabilities, prediction_backward, prediction_forward
+from .rationale import (
+    prediction_backward,
+    prediction_forward,
+    stack_grids,
+    stacked_forward,
+)
 from .recall import recall_loss, top_associations
 from .relational import (
     _GRID_BLOCK_BYTES,
@@ -130,35 +137,32 @@ def prediction_loss(
     structures: list | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Binary cross entropy of the full pipeline over a pair batch, with
-    analytic gradients.  Returns (loss, grads, probabilities).  Each
-    query's entity gradient touches only its association rows, which are
-    added into one dense batch gradient."""
+    analytic gradients.  Returns (loss, grads, probabilities).
+
+    The queries go in chunks (`_grid_chunks`), each one stacked forward
+    and one backward.  A chunk's entity gradient touches only its
+    association rows, which are added into one dense batch gradient.
+    `structures`, one frozen grid structure per pair, fixes the pair and
+    survivor sets (see `grad_check`)."""
     if not pairs:
         raise ValueError("empty pair batch")
+    labels = np.array([float(p.label) for p in pairs])
     entity_grad = np.zeros_like(params.entity_emb)
     grads: dict[str, np.ndarray] = {"entity_emb": entity_grad}
     probs = np.empty(len(pairs), dtype=np.float64)
     loss = 0.0
-    for i, pair in enumerate(pairs):
-        trace = prediction_forward(
-            params,
-            pair.head,
-            pair.tail,
-            n_head,
-            n_tail,
-            structure=None if structures is None else structures[i],
-        )
-        probs[i] = trace.probability
-        sample_loss, dlogit = bce_loss(
-            np.array([trace.probability]), np.array([float(pair.label)])
-        )
-        loss += sample_loss
+    lo = 0
+    for structure in _grid_chunks(params, pairs, n_head, n_tail, structures):
+        trace = stacked_forward(params, structure, signs=True)
+        hi = lo + len(trace.probability)
+        probs[lo:hi] = trace.probability
+        chunk_loss, dlogits = bce_loss(trace.probability, labels[lo:hi])
+        loss += chunk_loss
         accumulate_grads(
             grads,
-            prediction_backward(
-                params, trace, float(dlogit[0]), entity_grad=entity_grad
-            ),
+            prediction_backward(params, trace, dlogits, entity_grad=entity_grad),
         )
+        lo = hi
     return loss, grads, probs
 
 
@@ -222,48 +226,72 @@ def predict_probabilities(
     """The model's probability for each pair, equal to its
     `prediction_forward(...).probability` to rounding.
 
-    Each distinct entity is recalled once.  The queries are then scored
-    in chunks by `grid_probabilities`, each chunk one forward over its
-    stacked association grids; `_chunk_queries` sizes them.  With
-    `threads` > 1 the chunks are spread over that many threads; the
-    chunks are the same at any thread count, and so are the results.
+    The queries are scored in the chunks of `_grid_chunks`, each chunk
+    one forward over its stacked association grids.  With `threads` > 1
+    the chunks are spread over that many threads; the chunks are the
+    same at any thread count, and so are the results.
     """
     if not pairs:
         return np.empty(0, dtype=np.float64)
-    # The top n of an entity are the first n of its top max(n_head, n_tail).
-    n_max = max(n_head, n_tail)
-    recalled = {
-        e: top_associations(params, e, n_max).entity_ids
-        for e in {p.head for p in pairs} | {p.tail for p in pairs}
-    }
-    # Every list holds min(n, V - 1) entities, so all grids have one shape.
-    n_pairs = len(recalled[pairs[0].head][:n_head]) * len(
-        recalled[pairs[0].tail][:n_tail]
-    )
-    chunk = _chunk_queries(params, n_pairs)
 
-    def score(lo: int) -> np.ndarray:
-        batch = pairs[lo : lo + chunk]
-        return grid_probabilities(
-            params,
-            np.stack([recalled[p.head][:n_head] for p in batch]),
-            np.stack([recalled[p.tail][:n_tail] for p in batch]),
-        )
+    def score(structure):
+        return stacked_forward(params, structure).probability
 
-    starts = range(0, len(pairs), chunk)
+    chunks = _grid_chunks(params, pairs, n_head, n_tail)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(score, starts)))
-    return np.concatenate([score(lo) for lo in starts])
+            return np.concatenate(list(pool.map(score, chunks)))
+    return np.concatenate([score(s) for s in chunks])
+
+
+def _grid_chunks(
+    params: ModelParams,
+    pairs: list[LabeledPair],
+    n_head: int,
+    n_tail: int,
+    structures: list | None = None,
+):
+    """The association grids of the pairs, Q queries at a time
+    (`_chunk_queries`), each chunk stacked into one structure
+    (`rationale.stack_grids`).  Each distinct entity is recalled once.
+    Given `structures`, frozen grids of earlier traces, one per pair,
+    their association lists and survivor sets are stacked instead."""
+    if structures is None:
+        # The top n of an entity are the first n of its top max(n_head, n_tail).
+        n_max = max(n_head, n_tail)
+        recalled = {
+            e: top_associations(params, e, n_max).entity_ids
+            for e in {p.head for p in pairs} | {p.tail for p in pairs}
+        }
+        lists = [(recalled[p.head][:n_head], recalled[p.tail][:n_tail]) for p in pairs]
+    else:
+        lists = [(s.grid[0][0], s.grid[1][0]) for s in structures]
+    # Every list holds min(n, V - 1) entities, so all grids have one shape.
+    chunk = _chunk_queries(params, len(lists[0][0]) * len(lists[0][1]))
+    for lo in range(0, len(pairs), chunk):
+        heads, tails = (np.stack(side) for side in zip(*lists[lo : lo + chunk]))
+        survivors = None
+        if structures is not None:
+            survivors = np.concatenate(
+                [s.survivors for s in structures[lo : lo + chunk]]
+            )
+        yield stack_grids(heads, tails, survivors)
 
 
 def _chunk_queries(params: ModelParams, n_pairs: int) -> int:
-    """Queries per scoring chunk of `n_pairs` pairs each: as many as keep
-    the chunk's pair-set temporaries within one residual grid block's
-    bytes, and at least one.  The pair projection holds up to three
+    """Queries per chunk of `n_pairs` pairs each: as many as keep the
+    chunk's pair-set temporaries within one residual grid block's bytes,
+    and at least one.  The pair projection holds up to three
     (Q * n_pairs, d_p) arrays at once (assumption block, gathered head
     and tail rows), and the attention adds a (Q * n_pairs, d_a) hidden
-    layer.  At quickstart dims that is 4 queries, at large dims 1."""
+    layer.  At quickstart dims that is 4 queries, at large dims 1.
+
+    The training step holds more: the (Q * n_pairs, n_rel + 1, d) sign
+    grid, 1.3 MiB at 4 quickstart queries, in a per-thread buffer reused
+    from chunk to chunk, which its forward fills block by block for the
+    backward.  (Measured per pair, a quickstart training step took 1.4x
+    longer at 1 query than at 4, and 7% longer at 3; at large dims 2
+    queries were slower than 1.  See CHANGES.md.)"""
     dims = params.dims
     per_query = n_pairs * (3 * dims.d_p + dims.d_a) * params.dtype.itemsize
     return max(1, _GRID_BLOCK_BYTES // per_query)
@@ -528,7 +556,9 @@ def grad_check(
     For the prediction loss, association lists and survivor sets are
     captured once at the base parameters and frozen, so the finite
     differences probe exactly the smooth function that the analytic
-    backward pass differentiates.
+    backward pass differentiates.  The frozen grids go through the
+    batched step that training runs, stacked in chunks of several
+    queries.
     """
     params, ppmi, triple_set, pairs = _gradcheck_instance(
         vocab_size, d, n_rel, seed

@@ -29,6 +29,8 @@ from relrec.rationale import (
     prediction_backward,
     prediction_forward,
     rationalize_pair,
+    stack_grids,
+    stacked_forward,
 )
 from relrec.recall import AssociationList
 from relrec.relational import (
@@ -264,6 +266,17 @@ def random_params(seed, vocab_size=30):
     return params
 
 
+def stacked_queries(params, queries, n_head, n_tail, signs=False):
+    """Each (head, tail) query's own `prediction_forward` trace, and one
+    `stacked_forward` trace of all their grids."""
+    traces = [prediction_forward(params, h, t, n_head, n_tail) for h, t in queries]
+    structure = stack_grids(
+        np.concatenate([t.structure.grid[0] for t in traces]),
+        np.concatenate([t.structure.grid[1] for t in traces]),
+    )
+    return traces, stacked_forward(params, structure, signs=signs)
+
+
 def assert_relative_close(actual, expected, tol=1e-12):
     scale = max(float(np.abs(expected).max()), 1.0)
     assert float(np.abs(actual - expected).max()) <= tol * scale
@@ -308,7 +321,7 @@ class TestFactoredKernelEquivalence:
 
     def test_grid_and_pair_list_agree(self):
         # The OWA grid's per-entity sums are taken over its n_head x n_tail
-        # layout; the same pairs as an explicit list go through _row_sums.
+        # layout; the same pairs as an explicit list go through _pair_list_sums.
         for seed in range(3):
             params = random_params(seed)
             grid = prediction_forward(params, 0, 8, 5, 7)
@@ -333,6 +346,33 @@ class TestFactoredKernelEquivalence:
         trace = prediction_forward(moved, 0, 8, 4, 3, structure=structure)
         assert trace.structure is structure
         self.check(moved, trace)
+
+    # A repeated query, queries sharing their association entities ((0, 8)
+    # and (8, 0)), and head and tail counts that differ.
+    QUERIES = [(0, 8), (3, 9), (0, 8), (8, 0), (9, 12)]
+
+    @pytest.mark.parametrize("n_head, n_tail", [(4, 3), (2, 5)])
+    def test_stacked_grids_match_per_query_sum(self, n_head, n_tail):
+        dlogits = np.array([0.7, -0.4, 0.7, 0.2, -0.9])
+        for seed in range(3):
+            params = random_params(seed)
+            traces, stacked = stacked_queries(params, self.QUERIES, n_head, n_tail)
+            assert_same_bits(
+                stacked.structure.survivors,
+                np.concatenate([t.structure.survivors for t in traces]),
+            )
+            expected: dict[str, np.ndarray] = {}
+            for q, trace in enumerate(traces):
+                probability, grads = unfactored_forward_backward(
+                    params, trace.structure, dlogits[q]
+                )
+                assert abs(stacked.probability[q] - probability) <= 1e-12 * probability
+                for name, grad in grads.items():
+                    expected[name] = expected.get(name, 0.0) + grad
+            grads = prediction_backward(params, stacked, dlogits)
+            assert set(grads) == set(expected)
+            for name, grad in expected.items():
+                assert_relative_close(grads[name], grad)
 
 
 def unblocked_grid(params, pair_heads, pair_tails, survivors=None):
@@ -400,8 +440,7 @@ class TestBlockedGrid:
         assert_same_bits(structure.survivors, survivors)
         assert_same_bits(trace.posterior, posterior)
         assert_same_bits(trace.na_mass, na_mass)
-        # Right after the forward a one-block grid is reused from the block
-        # buffer; once dropped, it is recomputed block by block.
+        # The backward rebuilds the signs block by block, the same each time.
         for _ in range(2):
             assert_same_bits(
                 relrec.relational._residual_signs(
@@ -409,7 +448,6 @@ class TestBlockedGrid:
                 ),
                 signs,
             )
-            relrec.relational._workspace.grid = None
         # The trace keeps head + relation per distinct head, not the grid.
         assert not hasattr(trace, "residuals")
         assert trace.head_rows.shape == (
@@ -419,7 +457,6 @@ class TestBlockedGrid:
     def check_gradients(self, monkeypatch, params, trace):
         blocked = prediction_backward(params, trace, 0.7)
         monkeypatch.setattr(relrec.relational, "_GRID_BLOCK_BYTES", 1 << 30)
-        relrec.relational._workspace.grid = None
         whole = prediction_backward(params, trace, 0.7)
         assert set(blocked) == set(whole)
         for name in whole:
@@ -458,7 +495,7 @@ class TestBlockedGrid:
     @pytest.mark.parametrize("n_tail", [1, 19])
     def test_interleaved_traces_keep_their_gradients(self, small_blocks, n_tail):
         # A backward after another query's forward must not take that
-        # query's grid from the block buffer.
+        # query's residuals or signs from the thread's buffers.
         params = random_params(2)
         first = prediction_forward(params, 0, 8, 1, n_tail)
         expected = prediction_backward(params, first, 0.7)
@@ -486,6 +523,61 @@ class TestBlockedGrid:
         trace, peak, _ = traced_peak(lambda: prediction_forward(params, 0, 1, 32, 32))
         assert len(trace.structure.pair_heads) == 1024
         assert peak < 4.5 * pair_rows
+
+
+class TestForwardSigns:
+    """A training step's forward writes the residual signs as its blocks
+    pass, and the backward of that trace takes them instead of
+    rebuilding the residuals: the same gradient bytes, for grids of one
+    block and of several, and never another trace's signs."""
+
+    QUERIES = [(0, 8), (3, 9), (8, 0)]
+
+    @staticmethod
+    def stacked(params, queries, signs):
+        return stacked_queries(params, queries, 4, 3, signs=signs)[1]
+
+    def expected(self, params, queries, dlogits):
+        trace = self.stacked(params, queries, False)
+        return prediction_backward(params, trace, dlogits)
+
+    @pytest.mark.parametrize("block_pairs", [4, 1 << 20])
+    def test_same_gradients_as_rebuilt_signs(self, monkeypatch, block_pairs):
+        dims = random_params(0).dims
+        pair_bytes = (dims.n_rel + 1) * dims.d * 8
+        monkeypatch.setattr(
+            relrec.relational, "_GRID_BLOCK_BYTES", block_pairs * pair_bytes
+        )
+        dlogits = np.array([0.7, -0.4, 0.2])
+        for seed in range(2):
+            params = random_params(seed)
+            expected = self.expected(params, self.QUERIES, dlogits)
+            trace = self.stacked(params, self.QUERIES, True)
+            for _ in range(2):  # the second backward rebuilds them
+                grads = prediction_backward(params, trace, dlogits)
+                for name in expected:
+                    assert_same_bits(grads[name], expected[name])
+
+    def test_signs_go_to_the_reused_sign_buffer(self):
+        params = random_params(4)
+        dlogits = np.array([0.5, 0.1, -0.3])
+        for _ in range(2):
+            trace = self.stacked(params, self.QUERIES, True)
+            buffer = relrec.relational._workspace.signs
+            assert np.shares_memory(relrec.relational._workspace.kept_signs[1], buffer)
+            prediction_backward(params, trace, dlogits)
+            assert relrec.relational._workspace.signs is buffer
+
+    def test_interleaved_traces_keep_their_gradients(self):
+        params = random_params(3)
+        dlogits = np.array([0.5, 0.1, -0.3])
+        first, second = self.QUERIES, [(5, 2), (8, 0), (1, 4)]
+        expected = [self.expected(params, q, dlogits) for q in (first, second)]
+        traces = [self.stacked(params, q, True) for q in (first, second)]
+        for trace, want in zip(traces, expected):
+            grads = prediction_backward(params, trace, dlogits)
+            for name in want:
+                assert_same_bits(grads[name], want[name])
 
 
 class TestSingleRowHelpersMatchKernel:

@@ -2,10 +2,15 @@
 training-log serialization."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relrec
 from relrec import training
 from relrec.evaluation import generate_synthetic, split_dataset
 from relrec.graph import CoocGraph, Vocab, compute_ppmi
@@ -85,6 +90,54 @@ class TestGradCheck:
             assert result.passed, result.format()
             assert result.max_error <= 1e-4
             assert "PASS" in result.format()
+
+    def test_prediction_check_runs_the_batched_step(self, monkeypatch):
+        # The frozen grids are stacked into chunks of several queries, the
+        # path training runs, and no query goes through alone.
+        chunk_sizes = []
+
+        def spy(params, structure, **kwargs):
+            chunk_sizes.append(len(structure.grid[0]))
+            return stacked_forward(params, structure, **kwargs)
+
+        stacked_forward = training.stacked_forward
+        monkeypatch.setattr(training, "stacked_forward", spy)
+        (result,) = grad_check(losses=("prediction",))
+        assert result.passed, result.format()
+        assert chunk_sizes and set(chunk_sizes) == {3}
+
+    def test_frozen_structures_give_the_unfrozen_step(self, tiny_world):
+        # At the parameters they were frozen at, the stacked frozen grids
+        # and survivor sets are the ones a fresh step selects.
+        world, ppmi, train, dev = tiny_world
+        params = init_params(
+            ModelDims.square(8, world.schema.n_rel), len(world.vocab), seed=2
+        )
+        batch = train[:5]
+        structures = [
+            training.prediction_forward(params, p.head, p.tail, 4, 4).structure
+            for p in batch
+        ]
+        fresh = prediction_loss(params, batch, 4, 4)
+        frozen = prediction_loss(params, batch, 4, 4, structures=structures)
+        assert frozen[0] == fresh[0]
+        assert frozen[2].tobytes() == fresh[2].tobytes()
+        for name, grad in fresh[1].items():
+            assert frozen[1][name].tobytes() == grad.tobytes()
+        # Moved parameters keep the frozen survivor sets, which are no
+        # longer the ones a fresh forward selects.
+        moved = init_params(params.dims, len(world.vocab), seed=3)
+        _, _, probs = prediction_loss(moved, batch, 4, 4, structures=structures)
+        expected = [
+            training.prediction_forward(moved, p.head, p.tail, 4, 4, structure=s)
+            for p, s in zip(batch, structures)
+        ]
+        np.testing.assert_allclose(
+            probs, [t.probability for t in expected], rtol=1e-12, atol=0.0
+        )
+        assert not np.allclose(
+            probs, prediction_loss(moved, batch, 4, 4)[2], rtol=1e-6, atol=0.0
+        )
 
     def test_corrupted_gradient_is_detected(self):
         vocab = Vocab(["a", "b", "c", "d"])
@@ -259,27 +312,64 @@ class TestPredictionLoss:
         assert probs.shape == (4,)
 
     def test_batch_gradients_sum_per_query_dense_gradients(self):
-        # A 12-entity vocabulary with 5 associations per side: every query's
-        # head and tail association lists share entities, whose batch rows
-        # receive both a head and a tail gradient.
+        # The default chunk holds the whole batch at these dims.
+        self.check_sums_per_query(chunk=None, n_head=5, n_tail=5)
+
+    # Chunks of 3 put the repeated query (3, 1) twice in the first chunk
+    # and leave one query for the last; the third chunk's queries share
+    # entities 0 and 5 as heads and tails.
+    @pytest.mark.parametrize("chunk", [3, 4])
+    @pytest.mark.parametrize("n_head, n_tail", [(5, 5), (5, 3), (2, 6)])
+    def test_chunked_batch_gradients_sum_per_query_dense_gradients(
+        self, monkeypatch, chunk, n_head, n_tail
+    ):
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: chunk)
+        self.check_sums_per_query(chunk, n_head, n_tail)
+
+    @staticmethod
+    def check_sums_per_query(chunk, n_head, n_tail):
+        # A 12-entity vocabulary: head and tail association lists share
+        # entities, whose batch rows receive both a head and a tail
+        # gradient.
         params = init_params(ModelDims(d=6, d_p=5, d_a=4, n_rel=3), 12, seed=4)
         rng = np.random.default_rng(4)
         for tensor in params.tensors().values():
             tensor[...] = rng.normal(0.0, 0.5, size=tensor.shape)
         batch = [
             LabeledPair(head=h, tail=t, label=y, relation=0)
-            for h, t, y in [(0, 7, 1), (3, 1, 0), (7, 0, 0), (5, 9, 1), (3, 1, 1)]
+            for h, t, y in [
+                (0, 7, 1), (3, 1, 0), (3, 1, 1), (7, 0, 0), (5, 9, 1), (0, 5, 0),
+                (9, 3, 1),
+            ]
         ]
+        if chunk is None:
+            assert training._chunk_queries(params, n_head * n_tail) >= len(batch)
         expected: dict[str, np.ndarray] = {}
-        for pair in batch:
-            trace = training.prediction_forward(params, pair.head, pair.tail, 5, 5)
-            assert np.intersect1d(trace.heads.ids, trace.tails.ids).size
+        expected_probs, expected_loss, shared = [], 0.0, 0
+        for i, pair in enumerate(batch):
+            trace = training.prediction_forward(
+                params, pair.head, pair.tail, n_head, n_tail
+            )
+            common = np.intersect1d(trace.heads.ids, trace.tails.ids).size
+            # At 5 x 5 each of the first five queries' lists share
+            # entities; (0, 5) shares only with other queries, and the
+            # smaller grids of the chunked cases need only share some.
+            assert common or chunk is not None or i >= 5
+            shared += common
             dense = training.prediction_backward(
                 params, trace, trace.probability - pair.label
             )
             for name, grad in dense.items():
                 expected[name] = expected.get(name, 0.0) + grad
-        _, grads, _ = prediction_loss(params, batch, 5, 5)
+            expected_probs.append(trace.probability)
+            expected_loss += bce_loss(
+                np.array([trace.probability]), np.array([float(pair.label)])
+            )[0]
+        assert shared
+        loss, grads, probs = prediction_loss(params, batch, n_head, n_tail)
+        assert abs(loss - expected_loss) <= 1e-12 * expected_loss
+        np.testing.assert_allclose(probs, expected_probs, rtol=1e-12, atol=0.0)
+        assert probs[1] == probs[2]
         assert set(grads) == set(expected)
         for name, grad in expected.items():
             scale = max(float(np.abs(grad).max()), 1.0)
@@ -404,6 +494,50 @@ class TestBatchedScoring:
                 lambda n=n: training.predict_probabilities(params, pairs[:n], 16, 16)
             )
         assert peaks[64] <= 1.25 * peaks[4]
+
+
+# One batched training step on a random quickstart-dims model: 8 queries
+# in 2 chunks of 4, each one stacked forward and one backward.  Prints the
+# sha256 of the loss, the probabilities and every gradient.
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from relrec import training
+from relrec.params import ModelDims, init_params
+from relrec.relational import LabeledPair
+
+params = init_params(ModelDims.square(32, 4), 300, seed=9)
+rng = np.random.default_rng(9)
+for name, tensor in params.tensors().items():
+    setattr(params, name, rng.normal(0.0, 0.4, size=tensor.shape))
+assert training._chunk_queries(params, 16 * 16) == 4
+pairs = [
+    LabeledPair(head=int(h), tail=int(t), label=int(h < t), relation=0)
+    for h, t in rng.integers(0, 300, size=(8, 2))
+]
+loss, grads, probs = training.prediction_loss(params, pairs, 16, 16)
+digest = hashlib.sha256(np.float64(loss).tobytes() + probs.tobytes())
+for name in sorted(grads):
+    digest.update(name.encode() + grads[name].tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreadCount:
+    def test_batched_step_same_bytes_at_one_and_two_threads(self):
+        # Fresh interpreters, since OpenBLAS reads its thread count at load.
+        src = str(Path(relrec.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-c", THREAD_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestTrainingLog:
