@@ -27,6 +27,7 @@ the same bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import gzip
 import hashlib
@@ -67,17 +68,47 @@ class UnknownTermError(KeyError):
         return f"unknown term {self.term!r}"
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance, two-row dynamic program."""
+def edit_distance(a: str, b: str, bound: int | None = None) -> int:
+    """Levenshtein distance, two-row dynamic program.
+
+    Given `bound`, distances up to the bound are exact and a larger one is
+    returned as bound + 1.  Only the cells within `bound` of the diagonal
+    are computed, since the others exceed it, and the program stops once
+    a whole row exceeds the bound: a row's minimum never falls in later
+    rows."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
+    n = len(b)
+    if bound is None:
+        bound = len(a)
+    elif len(a) - n > bound:
+        return bound + 1
+    over = bound + 1
+    prev = [min(j, over) for j in range(n + 1)]
     for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+        lo = i - bound if i > bound else 1
+        hi = i + bound if i + bound < n else n
+        # The next row reads cells lo - 1 to hi + 1 of this one.  Cell
+        # hi + 1 has been right of the band in every row so far, so the
+        # copy keeps its first-row value, over the bound.
+        cur = prev[:]
+        left = cur[lo - 1] = i if lo == 1 and i < over else over
+        row_min = left
+        for j in range(lo, hi + 1):
+            # min(up + 1, left + 1, diagonal + mismatch), without calls.
+            up = prev[j] + 1
+            cell = prev[j - 1] + (ca != b[j - 1])
+            if up < cell:
+                cell = up
+            if left + 1 < cell:
+                cell = left + 1
+            cur[j] = left = cell
+            if cell < row_min:
+                row_min = cell
+        if row_min > bound:
+            return over
         prev = cur
-    return prev[len(b)]
+    return min(prev[n], over)
 
 
 class Vocab:
@@ -108,9 +139,19 @@ class Vocab:
         return self.terms[idx]
 
     def closest(self, term: str, n: int = 3) -> list[str]:
-        """The n vocabulary terms nearest to `term` by edit distance."""
-        ranked = sorted(self.terms, key=lambda t: (edit_distance(term, t), t))
-        return ranked[:n]
+        """The n vocabulary terms nearest to `term` by edit distance, ties
+        by term.  Once n terms are kept, a term's distance is computed
+        only up to the n-th best one: past it the term cannot place."""
+        if n < 1:
+            return []
+        best: list[tuple[int, str]] = []  # sorted (distance, term), at most n
+        for t in self.terms:
+            full = len(best) >= n
+            key = (edit_distance(term, t, best[-1][0] if full else None), t)
+            if not full or key < best[-1]:
+                bisect.insort(best, key)
+                del best[n:]
+        return [t for _, t in best]
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.terms).encode("utf-8")).hexdigest()

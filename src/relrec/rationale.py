@@ -54,22 +54,33 @@ and the scatter they need made the backward slower.
 
 Many queries go through one forward and one backward: the cross grids
 of Q queries, all of one n_head x n_tail shape, are stacked into one pair
-set (`stack_grids`) and scored by `stacked_forward`.  Scores,
-posteriors, pair representations and attention logits are per pair and
-run once over the stack, each distinct entity of the stack projected
-once; the attention softmax, the pooling and the logit are per query,
-over a (Q, P) reshape.  `prediction_backward` takes such a trace and the
-Q queries' logit gradients and returns the sum of their gradients: the
-tanh slopes, the pair projection, the posterior, the sign grid and the
-relation matmuls run once over the stack, the attention softmax backward
-per query over (Q, P), and the per-entity sums per query over a (Q,
-n_head, n_tail, k) reshape, whose head and tail rows are then added into
-the entity gradient query by query.  `prediction_forward` and a backward
-of its trace are the Q = 1 case of the same steps.  The attention
-logits, the pooling and their backward take one BLAS product per query,
-as a lone query does, so a stacked query's probability and gradients
-agree with its own to rounding.  How many queries share a chunk is set
+set (`stack_grids`) and scored by `stacked_forward`.  The forward has
+two halves.  The per-pair half (`_pair_forward`): scores, posteriors,
+pair representations and attention logits, run once over the stack,
+each distinct entity of the stack projected once.  The per-query half
+(`_pool`): the attention softmax and the pooling, over a (Q, P)
+reshape, then the logit.  `prediction_backward` takes such a trace and
+the Q queries' logit gradients and returns the sum of their gradients:
+the tanh slopes, the pair projection, the posterior, the sign grid and
+the relation matmuls run once over the stack, the attention softmax
+backward per query over (Q, P), and the per-entity sums per query over
+a (Q, n_head, n_tail, k) reshape, whose head and tail rows are then
+added into the entity gradient query by query.  `prediction_forward`
+and a backward of its trace are the Q = 1 case of the same steps.  The
+attention logits, the pooling and their backward take one BLAS product
+per query, as a lone query does, so a stacked query's probability and
+gradients agree with its own to rounding.  How many queries share a chunk is set
 by `training._chunk_queries`.
+
+Scoring without gradients can instead run the per-pair half once over
+an association table, every pair of a set of head-side with a set of
+tail-side association entities that many queries share (`score_table`),
+and keep two numbers per pair: the attention logit l and
+g = pair_repr . out_weight.  The logistic head is linear in the pooled
+vector, so a query's logit is softmax(l) . g + out_bias over its grid's
+cells of the table (`table_probabilities`, the per-query half); it
+agrees with the query's own to rounding.  When a table pays is set by
+`training._table_groups`.
 
 `prediction_forward` keeps every intermediate needed by
 `prediction_backward`, which implements the full analytic gradient of
@@ -261,23 +272,21 @@ def pair_representation(
 
 def _attention(
     params: ModelParams, pair_reprs: np.ndarray, n_queries: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attention hidden layer tanh(W e + b), logits v . hidden and their
-    softmax over each query's pairs, for `n_queries` stacked pair sets of
-    P pairs each: logits and weights are (n_queries, P).  The logits are
-    one matrix-vector product per query, as for a lone query: BLAS sums
-    a row's product in an order that depends on the row's place in the
-    matrix."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Attention hidden layer tanh(W e + b) and logits v . hidden, for
+    `n_queries` stacked pair sets of P pairs each: the logits are
+    (n_queries, P), one matrix-vector product per query, as for a lone
+    query: BLAS sums a row's product in an order that depends on the
+    row's place in the matrix."""
     hidden = pair_reprs @ params.attn_weight.T
     hidden += params.attn_bias
     np.tanh(hidden, out=hidden)
-    logits = hidden.reshape(n_queries, -1, hidden.shape[1]) @ params.attn_vector
-    return hidden, logits, stable_softmax(logits)
+    return hidden, hidden.reshape(n_queries, -1, hidden.shape[1]) @ params.attn_vector
 
 
 def attention_weights(params: ModelParams, pair_reprs: np.ndarray) -> np.ndarray:
     """Softmax over per-pair attention logits v . tanh(W e + b)."""
-    return _attention(params, pair_reprs)[2][0]
+    return stable_softmax(_attention(params, pair_reprs)[1])[0]
 
 
 def _tanh_slope(h: np.ndarray) -> np.ndarray:
@@ -348,18 +357,19 @@ def _grid_sums(grid: tuple[np.ndarray, np.ndarray], *values: np.ndarray) -> tupl
     return (*heads, *tails)
 
 
-def _forward(
+def _pair_forward(
     params: ModelParams,
     structure: PredictionStructure,
-    n_queries: int,
+    n_queries: int = 1,
     signs: bool = False,
-) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """The forward steps of `n_queries` queries whose pair sets are
-    stacked in `structure`, query by query, P pairs each (see the module
-    docstring).  Returns the per-pair fields of `PredictionTrace`, in its
-    field order, then the (n_queries, P) attention, the (n_queries, 1,
-    d_p) pooled vectors and the (n_queries, 1) logits.  `signs` asks
-    `_posterior_grid` to write the residual signs for the backward."""
+) -> tuple:
+    """The per-pair half of the forward, over the pairs of `structure`:
+    scores, posteriors, pair representations, and the attention hidden
+    layer and logits, the logits one matrix-vector product for each of
+    `n_queries` equal groups of pairs (`_attention`).  Returns the
+    per-pair fields of `PredictionTrace`, in its field order.  `signs`
+    asks `_posterior_grid` to write the residual signs for the
+    backward."""
     pair_heads = structure.pair_heads
     pair_tails = structure.pair_tails
     if len(pair_heads) == 0:
@@ -378,18 +388,67 @@ def _forward(
     pair_reprs = _pair_projection(
         params, heads, tails, posterior @ (params.relation_emb[:n_rel] @ w_assum)
     )
-    attn_hidden, attn_logits, attn = _attention(params, pair_reprs, n_queries)
-    # (Q, 1, P) @ (Q, P, d_p), then (Q, 1, d_p) @ (d_p,): one BLAS call per
-    # query, the same as for a lone query's vectors.
-    pooled = np.matmul(
-        attn[:, None, :], pair_reprs.reshape(n_queries, -1, pair_reprs.shape[1])
-    )
-    logits = pooled @ params.out_weight + params.out_bias
-    per_pair = (
+    attn_hidden, attn_logits = _attention(params, pair_reprs, n_queries)
+    return (
         structure, scores, na_scores, head_rows, posterior, na_mass, heads,
         tails, pair_reprs, attn_hidden, attn_logits.ravel(),
     )
+
+
+def _pool(attn_logits: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-query half of the forward: the softmax of each query's
+    attention logits, (Q, P), and the attention-weighted sum of its
+    (Q, P, k) per-pair values, (Q, 1, k).  (Q, 1, P) @ (Q, P, k) is one
+    BLAS call per query, the same as for a lone query's vectors."""
+    attn = stable_softmax(attn_logits)
+    return attn, np.matmul(attn[:, None, :], values)
+
+
+def _forward(
+    params: ModelParams,
+    structure: PredictionStructure,
+    n_queries: int,
+    signs: bool = False,
+) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward steps of `n_queries` queries whose pair sets are
+    stacked in `structure`, query by query, P pairs each (see the module
+    docstring).  Returns the per-pair fields of `PredictionTrace`, in its
+    field order, then the (n_queries, P) attention, the (n_queries, 1,
+    d_p) pooled vectors and the (n_queries, 1) logits."""
+    per_pair = _pair_forward(params, structure, n_queries, signs)
+    pair_reprs, attn_logits = per_pair[8], per_pair[10]
+    attn, pooled = _pool(
+        attn_logits.reshape(n_queries, -1),
+        pair_reprs.reshape(n_queries, -1, pair_reprs.shape[1]),
+    )
+    logits = pooled @ params.out_weight + params.out_bias
     return per_pair, attn, pooled, logits
+
+
+def score_table(
+    params: ModelParams, head_ids: np.ndarray, tail_ids: np.ndarray, out: np.ndarray
+) -> None:
+    """The per-pair half of the forward over every pair of the table
+    head_ids x tail_ids, head-major, reduced to the two numbers a query
+    needs of a pair: its attention logit into out[0] and
+    g = pair_repr . out_weight into out[1], each (len(head_ids) *
+    len(tail_ids),).  The logistic head is linear in the pooled vector,
+    so a query's logit is softmax(l) . g + out_bias over its pairs
+    (`table_probabilities`)."""
+    per_pair = _pair_forward(params, stack_grids(head_ids[None], tail_ids[None]))
+    out[0] = per_pair[10]
+    np.matmul(per_pair[8], params.out_weight, out=out[1])
+
+
+def table_probabilities(
+    params: ModelParams, attn_logits: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """The per-query half over pairs taken from a `score_table` table:
+    for Q queries with (Q, P) attention logits l and values g, the
+    probabilities sigmoid(softmax(l) . g + out_bias), in float64."""
+    _, pooled = _pool(attn_logits, values[:, :, None])
+    logits = pooled[:, 0, 0] + params.out_bias
+    return sigmoid(logits.astype(np.float64, copy=False))
 
 
 def prediction_forward(

@@ -271,7 +271,8 @@ _GRID_BLOCK_BYTES = 1 << 20
 # about 140 minor faults per quickstart-sized forward and backward, which
 # cost more than the arithmetic done in them.  Beside the buffers,
 # `kept_signs` holds the signs a training step's forward leaves for its
-# backward (see `_posterior_grid`, `_residual_signs`).
+# backward (see `_posterior_grid`, `_residual_signs`).  Scoring borrows
+# the sign buffer for its association table (`_lend_sign_buffer`).
 _workspace = threading.local()
 
 
@@ -285,6 +286,18 @@ def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         buf = np.empty(size, dtype)
         setattr(_workspace, name, buf)
     return buf[:size].reshape(shape)
+
+
+def _lend_sign_buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """This thread's sign buffer as scratch of `shape` for another use:
+    scoring's association table (`training._table_probabilities`).  Only
+    a training step's backward reads the buffer, right after its own
+    forward, so dev evaluation reuses memory training already holds.
+    Signs a forward left there are dropped, so its backward rebuilds
+    them: the table may be filled on other threads, whose forwards do
+    not drop this thread's signs."""
+    _workspace.kept_signs = None
+    return _scratch("signs", shape, dtype)
 
 
 def _residual_blocks(

@@ -21,11 +21,26 @@ one `bce_loss` over the chunk and one backward over its stacked pairs
 keep its (Q * P, d_p) and (Q * P, d_a) temporaries within about 1 MiB,
 the residual grid's block size: 4 queries at quickstart dims
 (P = 16 x 16, d = 32), 1 at large dims (P = 32 x 32, d = 128), where
-nothing is stacked.  So memory does not grow with the number of pairs.
+nothing is stacked.
+
+Scoring takes another path when the queries share their associations.
+Their association table, every pair of a distinct head-side with a
+distinct tail-side association entity, can hold fewer pairs than their
+stacked grids: 0.30 of them for the 720 benchmark queries of the
+quickstart model at seed 1.  Then each table pair is scored once, down
+to its attention logit l and g = pair_repr . out_weight, and each query
+takes sigmoid(softmax(l) . g + out_bias) over its grid's cells of the
+table (`_table_probabilities`).  The logistic head is linear in the
+pooled vector, so this is exact algebra.  A table is taken at most
+0.9 times the grids' pairs, the measured crossover of the two paths,
+and is capped at 2 MiB: past it the queries go in groups, each with its
+own table (`_table_groups`).  Both paths work in blocks of about 1 MiB,
+so memory does not grow with the number of pairs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
@@ -48,15 +63,19 @@ from .params import (
 from .rationale import (
     prediction_backward,
     prediction_forward,
+    score_table,
     stack_grids,
     stacked_forward,
+    table_probabilities,
 )
 from .recall import recall_loss, top_associations
 from .relational import (
     _GRID_BLOCK_BYTES,
+    Distinct,
     LabeledPair,
     RelationSchema,
     TripleSet,
+    _lend_sign_buffer,
     relational_loss,
 )
 
@@ -152,7 +171,13 @@ def prediction_loss(
     probs = np.empty(len(pairs), dtype=np.float64)
     loss = 0.0
     lo = 0
-    for structure in _grid_chunks(params, pairs, n_head, n_tail, structures):
+    if structures is None:
+        heads, tails = _recall_grids(params, pairs, n_head, n_tail)
+        survivors = None
+    else:
+        heads, tails = (np.stack([s.grid[k][0] for s in structures]) for k in (0, 1))
+        survivors = [s.survivors for s in structures]
+    for structure in _grid_chunks(params, heads, tails, survivors):
         trace = stacked_forward(params, structure, signs=True)
         hi = lo + len(trace.probability)
         probs[lo:hi] = trace.probability
@@ -226,56 +251,185 @@ def predict_probabilities(
     """The model's probability for each pair, equal to its
     `prediction_forward(...).probability` to rounding.
 
-    The queries are scored in the chunks of `_grid_chunks`, each chunk
-    one forward over its stacked association grids.  With `threads` > 1
-    the chunks are spread over that many threads; the chunks are the
-    same at any thread count, and so are the results.
+    Each distinct entity is recalled once.  The queries go in groups
+    (`_table_groups`).  A group whose association table (its distinct
+    head-side by its distinct tail-side association entities) has at
+    most 0.9 times the pairs of its stacked grids is scored through the
+    table: each table pair once, then each query from its cells
+    (`_table_probabilities`).  The other queries are scored in the chunks
+    of `_grid_chunks`, each chunk one forward over its stacked
+    association grids.  With `threads` > 1 the table's blocks and the
+    chunks are spread over that many threads; the blocks and chunks are
+    the same at any thread count, and so are the results.
     """
     if not pairs:
         return np.empty(0, dtype=np.float64)
+    heads, tails = _recall_grids(params, pairs, n_head, n_tail)
+    probs = np.empty(len(pairs), dtype=np.float64)
+    in_chunks = np.ones(len(pairs), dtype=bool)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    with pool or contextlib.nullcontext():
+        mapper = map if pool is None else pool.map
+        for group, table in _table_groups(params, heads, tails):
+            if table is not None:
+                probs[group] = _table_probabilities(
+                    params, heads[group], tails[group], *table, mapper
+                )
+                in_chunks[group] = False
+        if in_chunks.any():
+            chunks = _grid_chunks(params, heads[in_chunks], tails[in_chunks])
+            probs[in_chunks] = np.concatenate(
+                list(mapper(lambda s: stacked_forward(params, s).probability, chunks))
+            )
+    return probs
 
-    def score(structure):
-        return stacked_forward(params, structure).probability
 
-    chunks = _grid_chunks(params, pairs, n_head, n_tail)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(score, chunks)))
-    return np.concatenate([score(s) for s in chunks])
+def _recall_grids(
+    params: ModelParams, pairs: list[LabeledPair], n_head: int, n_tail: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (Q, n_head) head and (Q, n_tail) tail association entity ids
+    of the pairs, each distinct entity recalled once.  Every list holds
+    min(n, V - 1) entities, so all grids have one shape."""
+    # The top n of an entity are the first n of its top max(n_head, n_tail).
+    n_max = max(n_head, n_tail)
+    recalled = {
+        e: top_associations(params, e, n_max).entity_ids
+        for e in {p.head for p in pairs} | {p.tail for p in pairs}
+    }
+    return (
+        np.stack([recalled[p.head][:n_head] for p in pairs]),
+        np.stack([recalled[p.tail][:n_tail] for p in pairs]),
+    )
 
 
 def _grid_chunks(
     params: ModelParams,
-    pairs: list[LabeledPair],
-    n_head: int,
-    n_tail: int,
-    structures: list | None = None,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    survivors: list | None = None,
 ):
-    """The association grids of the pairs, Q queries at a time
-    (`_chunk_queries`), each chunk stacked into one structure
-    (`rationale.stack_grids`).  Each distinct entity is recalled once.
-    Given `structures`, frozen grids of earlier traces, one per pair,
-    their association lists and survivor sets are stacked instead."""
-    if structures is None:
-        # The top n of an entity are the first n of its top max(n_head, n_tail).
-        n_max = max(n_head, n_tail)
-        recalled = {
-            e: top_associations(params, e, n_max).entity_ids
-            for e in {p.head for p in pairs} | {p.tail for p in pairs}
-        }
-        lists = [(recalled[p.head][:n_head], recalled[p.tail][:n_tail]) for p in pairs]
-    else:
-        lists = [(s.grid[0][0], s.grid[1][0]) for s in structures]
-    # Every list holds min(n, V - 1) entities, so all grids have one shape.
-    chunk = _chunk_queries(params, len(lists[0][0]) * len(lists[0][1]))
-    for lo in range(0, len(pairs), chunk):
-        heads, tails = (np.stack(side) for side in zip(*lists[lo : lo + chunk]))
-        survivors = None
-        if structures is not None:
-            survivors = np.concatenate(
-                [s.survivors for s in structures[lo : lo + chunk]]
+    """The association grids of (Q, n_head) heads and (Q, n_tail) tails,
+    Q queries at a time (`_chunk_queries`), each chunk stacked into one
+    structure (`rationale.stack_grids`).  `survivors`, one frozen survivor
+    set per query, is stacked with them."""
+    chunk = _chunk_queries(params, heads.shape[1] * tails.shape[1])
+    for lo in range(0, len(heads), chunk):
+        frozen = None
+        if survivors is not None:
+            frozen = np.concatenate(survivors[lo : lo + chunk])
+        yield stack_grids(heads[lo : lo + chunk], tails[lo : lo + chunk], frozen)
+
+
+# The association table is taken when its pairs are at most this share of
+# the stacked grids' pairs: past it the chunk path is faster (the crossover
+# measured in CHANGES.md).
+_TABLE_CROSSOVER = 0.9
+
+# Bytes of a table's attention logits and values (two per pair), held in
+# the thread's sign buffer.  A larger table is split: the queries go in
+# groups, each with its own table.  2 MiB holds a 362 x 362 table in
+# float64.  (At 1 MiB, a call of 720 pairs at 16 associations whose table
+# had 77,406 pairs, 0.42 of its grids, fell to the chunks: each group cut
+# at the cap reached it within too few queries to pay.)
+_TABLE_BYTES = 2 << 20
+
+
+def _distinct_prefix(ids: np.ndarray) -> tuple[Distinct, np.ndarray]:
+    """The distinct ids of the (Q, n) array `ids`, with each entry's index
+    into them, and for each q the number of distinct ids in rows 0..q."""
+    distinct = Distinct(*np.unique(ids, return_inverse=True))
+    first = np.full(len(distinct.ids), ids.size)
+    np.minimum.at(first, distinct.inverse.ravel(), np.arange(ids.size))
+    counts = np.bincount(first // ids.shape[1], minlength=len(ids))
+    return distinct, np.cumsum(counts)
+
+
+def _table_groups(params: ModelParams, heads: np.ndarray, tails: np.ndarray):
+    """Consecutive groups of the queries, as slices, each with its table
+    or None.  Each group is the longest run of queries, from where the
+    last one ended, whose table of distinct head-side x distinct tail-side
+    association entities fits in `_TABLE_BYTES`, and at least one query.
+    Its table, the distinct head and tail entities (`Distinct`, their
+    inverse over the group's (Q, n) ids), is given when it has at most
+    `_TABLE_CROSSOVER` times the pairs of the group's grids, else None.
+    A lone query's table is its grid, so it is never taken."""
+    max_pairs = _TABLE_BYTES // (2 * params.dtype.itemsize)
+    grid_pairs = heads.shape[1] * tails.shape[1]
+    lo = 0
+    while lo < len(heads):
+        # Table sizes of the first 1, 2, ... queries from lo, over a window
+        # that doubles until the cap is passed or the queries run out.
+        width = 16
+        while True:
+            hi = min(lo + width, len(heads))
+            (head_ids, head_counts), (tail_ids, tail_counts) = (
+                _distinct_prefix(side[lo:hi]) for side in (heads, tails)
             )
-        yield stack_grids(heads, tails, survivors)
+            sizes = head_counts * tail_counts
+            if sizes[-1] > max_pairs or hi == len(heads):
+                break
+            width *= 2
+        n = max(1, int(np.searchsorted(sizes, max_pairs, side="right")))
+        group = slice(lo, lo + n)
+        table = None
+        if sizes[n - 1] <= _TABLE_CROSSOVER * n * grid_pairs:
+            if lo + n < hi:  # the group ends inside the window
+                head_ids, tail_ids = (
+                    _distinct_prefix(side[group])[0] for side in (heads, tails)
+                )
+            table = head_ids, tail_ids
+        yield group, table
+        lo += n
+
+
+def _table_probabilities(
+    params: ModelParams,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    table_heads: Distinct,
+    table_tails: Distinct,
+    mapper=map,
+) -> np.ndarray:
+    """The probabilities of the queries with (Q, n_head) heads and
+    (Q, n_tail) tails, through their association table table_heads x
+    table_tails: the table is scored in blocks of rows
+    (`rationale.score_table`) into this thread's sign buffer; then each
+    block of queries takes its grids' cells of the table
+    (`rationale.table_probabilities`), so no (Q, P) array of the whole
+    call is held.  `mapper` runs the blocks (`map`, or a thread pool's)."""
+    n_rows, n_cols = len(table_heads.ids), len(table_tails.ids)
+    n_pairs = heads.shape[1] * tails.shape[1]
+    table = _lend_sign_buffer((2, n_rows * n_cols), params.dtype)
+    # The table is held beside each block's temporaries.  So a block of
+    # rows has half the pairs of a chunk of queries, and a block of
+    # queries keeps its six (b, P) arrays (cell indices, gathered logits
+    # and values, the softmax's three) within a quarter of a grid block:
+    # the call's peak then stays near the chunk path's (see CHANGES.md).
+    rows = max(1, _chunk_queries(params, n_pairs) * n_pairs // (2 * n_cols))
+
+    def score_rows(lo):
+        hi = min(lo + rows, n_rows)
+        score_table(
+            params,
+            table_heads.ids[lo:hi],
+            table_tails.ids,
+            table[:, lo * n_cols : hi * n_cols],
+        )
+
+    for _ in mapper(score_rows, range(0, n_rows, rows)):
+        pass
+    # Each query's pair i * n_tail + j is the table cell of its head i
+    # and tail j: (row of head i) * n_cols + (column of tail j).
+    head_rows = table_heads.inverse.reshape(heads.shape)
+    tail_cols = table_tails.inverse.reshape(tails.shape)
+    step = max(1, _GRID_BLOCK_BYTES // (4 * 6 * 8 * n_pairs))
+
+    def pool_queries(lo):
+        cells = head_rows[lo : lo + step, :, None] * n_cols
+        cells = (cells + tail_cols[lo : lo + step, None, :]).reshape(-1, n_pairs)
+        return table_probabilities(params, table[0][cells], table[1][cells])
+
+    return np.concatenate(list(mapper(pool_queries, range(0, len(heads), step))))
 
 
 def _chunk_queries(params: ModelParams, n_pairs: int) -> int:

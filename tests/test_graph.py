@@ -24,6 +24,20 @@ from relrec.graph import (
     load_cooc_graph,
 )
 
+def full_edit_distance(a, b):
+    """The textbook Levenshtein table, every cell computed."""
+    table = [[i + j if i * j == 0 else 0 for j in range(len(b) + 1)]
+             for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return table[len(a)][len(b)]
+
+
 # Frozen hand values.
 LN_1_5 = 0.4054651081081644  # ln(3/2)
 LN_2 = 0.6931471805599453
@@ -73,6 +87,31 @@ class TestVocab:
         # A three-letter alphabet gives many equal distances and lengths.
         expected = sorted(terms, key=lambda t: (edit_distance(query, t), t))[:n]
         assert Vocab(terms).closest(query, n=n) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.text(alphabet="e0123", min_size=1, max_size=6), max_size=40, unique=True
+        ),
+        query=st.text(alphabet="e01234x", max_size=8),
+        n=st.integers(min_value=1, max_value=8),
+    )
+    def test_closest_equals_full_dp_ranking(self, terms, query, n):
+        # Terms like the eNNNN vocabularies, where many share a length and
+        # the bounded programs stop at different rows.
+        expected = sorted(terms, key=lambda t: (full_edit_distance(query, t), t))[:n]
+        assert Vocab(terms).closest(query, n=n) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a=st.text(alphabet="abc", max_size=9),
+        b=st.text(alphabet="abc", max_size=9),
+        bound=st.integers(min_value=0, max_value=10),
+    )
+    def test_bounded_edit_distance_is_exact_up_to_the_bound(self, a, b, bound):
+        full = full_edit_distance(a, b)
+        assert edit_distance(a, b) == full
+        assert edit_distance(a, b, bound) == min(full, bound + 1)
 
     def test_sha256_depends_on_order(self):
         assert Vocab(["a", "b"]).sha256() != Vocab(["b", "a"]).sha256()

@@ -400,10 +400,36 @@ def random_pairs(vocab_size, n, seed=0):
     ]
 
 
+def pairs_among(vocab_size, n_entities, n, seed=0):
+    """n pairs drawn with repeats among n_entities of the vocabulary: the
+    queries share association lists, so their table is smaller than
+    their grids."""
+    rng = np.random.default_rng(seed)
+    entities = rng.choice(vocab_size, size=n_entities, replace=False)
+    return [
+        LabeledPair(head=int(h), tail=int(t), label=int(h < t), relation=0)
+        for h, t in rng.choice(entities, size=(n, 2))
+    ]
+
+
+def table_groups(params, pairs, n_head, n_tail):
+    """(queries, table pairs or None) of each group of `_table_groups`."""
+    heads, tails = training._recall_grids(params, pairs, n_head, n_tail)
+    return [
+        (group.stop - group.start,
+         None if table is None else len(table[0].ids) * len(table[1].ids))
+        for group, table in training._table_groups(params, heads, tails)
+    ]
+
+
 class TestBatchedScoring:
     """`predict_probabilities` recalls each entity once and scores chunks
     of queries in one forward over their stacked association grids; each
-    probability is the query's own `prediction_forward` one."""
+    probability is the query's own `prediction_forward` one.  Queries
+    whose association table (distinct head-side x distinct tail-side
+    association entities) has fewer pairs than their stacked grids are
+    scored through the table instead: each table pair once, then each
+    query's softmax(l) . g from its cells (the `test_table_*` tests)."""
 
     QUICKSTART = dict(vocab_size=300, d=32)  # with 16 associations per side
 
@@ -494,6 +520,147 @@ class TestBatchedScoring:
                 lambda n=n: training.predict_probabilities(params, pairs[:n], 16, 16)
             )
         assert peaks[64] <= 1.25 * peaks[4]
+
+    def test_table_matches_lone_forward(self):
+        params = random_model(300, 32, seed=11)
+        pairs = pairs_among(300, 8, 150, seed=11)
+        pairs += [pairs[3], pairs[3]]
+        ((n, table),) = table_groups(params, pairs, 16, 16)
+        assert n == len(pairs) and table <= 0.9 * len(pairs) * 16 * 16
+        got = self.check(params, pairs, 16, 16)
+        assert got[3] == got[-1] == got[-2]
+
+    @pytest.mark.parametrize("n_head, n_tail", [(5, 2), (2, 7)])
+    def test_table_head_and_tail_counts_differ(self, n_head, n_tail):
+        params = random_model(40, 6, seed=2)
+        pairs = pairs_among(40, 6, 60, seed=2)
+        groups = table_groups(params, pairs, n_head, n_tail)
+        assert all(table is not None for _, table in groups)
+        self.check(params, pairs, n_head, n_tail)
+
+    def test_table_vocabulary_smaller_than_the_grid(self):
+        # 6 entities, 8 associations asked: each list holds the other 5,
+        # and the table has at most 6 x 6 pairs against 20 grids of 25.
+        params = random_model(6, 4, seed=3)
+        pairs = random_pairs(6, 20, seed=3)
+        assert table_groups(params, pairs, 8, 8) == [(20, 36)]
+        self.check(params, pairs, 8, 8)
+
+    def test_table_float32_parameters(self):
+        # The table's logits and values are summed in another order than a
+        # lone query's pooled vector, which float32 shows: the agreement is
+        # to float32 rounding, not to 1e-12.
+        params = random_model(300, 32, seed=11, dtype=np.float32)
+        pairs = pairs_among(300, 8, 150, seed=11)
+        groups = table_groups(params, pairs, 16, 16)
+        assert all(table is not None for _, table in groups)
+        got = training.predict_probabilities(params, pairs, 16, 16)
+        expected = [
+            training.prediction_forward(params, p.head, p.tail, 16, 16).probability
+            for p in pairs
+        ]
+        np.testing.assert_allclose(got, expected, rtol=1e-5, atol=0.0)
+
+    def test_table_same_bytes_on_every_call_and_thread_count(self):
+        # Several blocks of table rows and of queries.
+        params = random_model(300, 32, seed=12)
+        pairs = pairs_among(300, 10, 200, seed=12)
+        groups = table_groups(params, pairs, 16, 16)
+        assert all(table is not None for _, table in groups)
+        first = training.predict_probabilities(params, pairs, 16, 16).tobytes()
+        assert training.predict_probabilities(params, pairs, 16, 16).tobytes() == first
+        threaded = training.predict_probabilities(params, pairs, 16, 16, threads=2)
+        assert threaded.tobytes() == first
+
+    def test_table_over_the_cap_is_split_into_groups(self, monkeypatch):
+        # A cap of 1,500 pairs: the queries go in several groups, each
+        # with a table within the cap or on the chunk path.
+        monkeypatch.setattr(training, "_TABLE_BYTES", 1500 * 2 * 8)
+        params = random_model(300, 32, seed=13)
+        pairs = pairs_among(300, 3, 40, seed=13) + pairs_among(300, 3, 40, seed=14)
+        groups = table_groups(params, pairs, 16, 16)
+        assert len(groups) > 1 and sum(n for n, _ in groups) == len(pairs)
+        assert any(table is not None for _, table in groups)
+        assert all(table is None or table <= 1500 for _, table in groups)
+        self.check(params, pairs, 16, 16)
+
+    def test_little_reuse_keeps_the_chunk_bytes(self):
+        # Random pairs over 300 entities share few associations: no group
+        # takes the table, and the bytes are those of the chunk path.
+        params = random_model(300, 32, seed=5)
+        pairs = random_pairs(300, 10, seed=5)
+        assert table_groups(params, pairs, 16, 16) == [(10, None)]
+        heads, tails = training._recall_grids(params, pairs, 16, 16)
+        chunks = np.concatenate([
+            training.stacked_forward(params, s).probability
+            for s in training._grid_chunks(params, heads, tails)
+        ])
+        got = training.predict_probabilities(params, pairs, 16, 16)
+        assert got.tobytes() == chunks.tobytes()
+
+    def test_a_lone_query_keeps_its_grid(self):
+        # One query's table is its grid, never smaller.
+        params = random_model(300, 32, seed=5)
+        assert table_groups(params, random_pairs(300, 1, seed=5), 16, 16) == [(1, None)]
+
+    def test_table_peak_memory_does_not_grow_with_queries(self, traced_peak):
+        # Quickstart dims with the default initialization, one table for
+        # both calls.  The call holds (Q, n) association ids, never a
+        # (Q, P) array: ten times the queries add less than one float64
+        # (Q, P) array of the extra queries.
+        params = init_params(ModelDims.square(32, 4), 300, seed=0)
+        pairs = pairs_among(300, 10, 1280, seed=6)
+        peaks = {}
+        for n in (128, 1280):
+            groups = table_groups(params, pairs[:n], 16, 16)
+            assert all(table is not None for _, table in groups)
+            _, peaks[n], _ = traced_peak(
+                lambda n=n: training.predict_probabilities(params, pairs[:n], 16, 16)
+            )
+        assert peaks[1280] - peaks[128] < (1280 - 128) * 16 * 16 * 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_table_leaves_a_pending_backward_correct(self, threads):
+        # The table borrows the sign buffer that a training forward fills
+        # for its backward: a backward after a table call rebuilds the
+        # signs and gives the gradients it gives without that call.  With
+        # 2 threads, the table's rows are scored on other threads.
+        params = random_model(300, 32, seed=11)
+        heads, tails = training._recall_grids(
+            params, random_pairs(300, 4, seed=7), 16, 16
+        )
+        structure = training.stack_grids(heads, tails)
+        dlogits = np.linspace(-1.0, 1.0, 4)
+        expected = training.prediction_backward(
+            params, training.stacked_forward(params, structure, signs=True), dlogits
+        )
+        trace = training.stacked_forward(params, structure, signs=True)
+        pairs = pairs_among(300, 8, 150, seed=11)
+        groups = table_groups(params, pairs, 16, 16)
+        assert all(table is not None for _, table in groups)
+        training.predict_probabilities(params, pairs, 16, 16, threads=threads)
+        got = training.prediction_backward(params, trace, dlogits)
+        assert got.keys() == expected.keys()
+        for name, grad in expected.items():
+            assert got[name].tobytes() == grad.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "vocab_size, n_pairs, n_assoc", [(12, 10, 5), (6, 7, 8)]
+    )
+    def test_chunks_repeated_pairs_and_small_vocabularies(
+        self, monkeypatch, vocab_size, n_pairs, n_assoc
+    ):
+        # The chunk path on worlds that would take the table: repeated
+        # pairs, entities shared across queries and grids smaller than
+        # asked.
+        monkeypatch.setattr(training, "_TABLE_CROSSOVER", 0.0)
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: 3)
+        params = random_model(vocab_size, 6, seed=1)
+        pairs = random_pairs(vocab_size, n_pairs, seed=1)
+        pairs += [pairs[0], pairs[0]]
+        assert all(t is None for _, t in table_groups(params, pairs, n_assoc, n_assoc))
+        got = self.check(params, pairs, n_assoc, n_assoc)
+        assert got[0] == got[-1] == got[-2]
 
 
 # One batched training step on a random quickstart-dims model: 8 queries
