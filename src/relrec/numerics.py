@@ -12,11 +12,6 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def sigmoid(x: float | np.ndarray) -> float | np.ndarray:
     # Split on sign so exp never sees a large positive argument.
     return np.where(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,63 +358,83 @@ def _check_header(path: str, header: dict) -> None:
             )
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise CheckpointError(f"{path}: missing header line")
-    try:
-        header = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {header.get('version')!r} is not "
-            f"supported (expected {CHECKPOINT_VERSION})"
-        )
-    payload = memoryview(data)[newline + 1 :]
-    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+# Bytes per read while hashing a payload that is not read into tensors.
+_READ_CHUNK = 1 << 20
+
+
+def _hash_rest(fh, digest) -> None:
+    """Feed the rest of the file `fh` to `digest`, a chunk at a time."""
+    while chunk := fh.read(_READ_CHUNK):
+        digest.update(chunk)
+
+
+def _check_digest(path: str, header: dict, digest) -> None:
+    if digest.hexdigest() != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: payload checksum mismatch (corrupted file)")
-    _check_header(path, header)
-    dims = ModelDims(**header["dims"])
-    vocab = Vocab(header["vocab"])
-    if vocab.sha256() != header.get("vocab_sha256"):
-        raise CheckpointError(f"{path}: vocabulary checksum mismatch")
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    The payload is streamed: each float64 block is read straight into its
+    own array and fed to the payload hash, so the load holds no copy of
+    the file.  A payload whose hash does not match is reported before any
+    fault of the header fields or of the payload length, as when the
+    whole file was read first."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: missing header line")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {header.get('version')!r} is not "
+                f"supported (expected {CHECKPOINT_VERSION})"
+            )
+        digest = hashlib.sha256()
+        try:
+            dims, vocab, shapes = _checked_layout(path, header)
+        except CheckpointError:
+            _hash_rest(fh, digest)
+            _check_digest(path, header, digest)
+            raise
+        n_blocks = 1 if header.get("optimizer") is None else 3
+        layout = [shapes[name] for name in TENSOR_ORDER] * n_blocks
+        expected = 8 * sum(map(math.prod, layout))
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != expected:
+            _hash_rest(fh, digest)
+            _check_digest(path, header, digest)
+            raise CheckpointError(
+                f"{path}: truncated tensor payload"
+                if found < expected
+                else f"{path}: trailing bytes after tensor payload"
+            )
+        blocks = []
+        for shape in layout:
+            blocks.append(np.empty(shape, "<f8"))
+            view = memoryview(blocks[-1]).cast("B")
+            if fh.readinto(view) != len(view):
+                raise CheckpointError(f"{path}: truncated tensor payload")
+            digest.update(view)
+    _check_digest(path, header, digest)
     dtype = np.dtype(header["dtype"])
-    shapes = expected_shapes(dims, header["vocab_size"])
-    if header.get("tensors") != [[name, list(s)] for name, s in shapes.items()]:
-        raise CheckpointError(f"{path}: header field 'tensors' does not match dims")
-
-    n_blocks = 1 if header.get("optimizer") is None else 3
-    n_values = n_blocks * sum(map(math.prod, shapes.values()))
-    if 8 * n_values > len(payload):
-        raise CheckpointError(f"{path}: truncated tensor payload")
-    if 8 * n_values < len(payload):
-        raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    values = np.frombuffer(payload, dtype="<f8", count=n_values)
-    offset = 0
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        end = offset + math.prod(shape)
-        arr = values[offset:end].reshape(shape).astype(dtype)
-        offset = end
-        return arr
-
-    tensors = {name: take(shapes[name]) for name in TENSOR_ORDER}
+    blocks = [block.astype(dtype, copy=False) for block in blocks]
+    tensors = dict(zip(TENSOR_ORDER, blocks))
     params = ModelParams(dims=dims, vocab_size=header["vocab_size"], **tensors)
     state = None
     if n_blocks == 3:
         opt = header["optimizer"]
-        m = {name: take(shapes[name]) for name in TENSOR_ORDER}
-        v = {name: take(shapes[name]) for name in TENSOR_ORDER}
+        n = len(TENSOR_ORDER)
         state = AdamState(
             **{name: opt[name] for name in _ADAM_SETTINGS},
-            m=m,
-            v=v,
+            m=dict(zip(TENSOR_ORDER, blocks[n : 2 * n])),
+            v=dict(zip(TENSOR_ORDER, blocks[2 * n :])),
             steps={name: int(opt["steps"][name]) for name in TENSOR_ORDER},
         )
     # The checksums cover NaN and inf too; serving them gives NaN answers.
@@ -425,3 +446,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         if not np.isfinite(tensor).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
     return Checkpoint(params=params, state=state, vocab=vocab, config=header["config"])
+
+
+def _checked_layout(path: str, header: dict):
+    """The dims, vocabulary and tensor shapes a checkpoint header
+    declares, or CheckpointError naming the first field that cannot
+    describe them."""
+    _check_header(path, header)
+    dims = ModelDims(**header["dims"])
+    vocab = Vocab(header["vocab"])
+    if vocab.sha256() != header.get("vocab_sha256"):
+        raise CheckpointError(f"{path}: vocabulary checksum mismatch")
+    shapes = expected_shapes(dims, header["vocab_size"])
+    if header.get("tensors") != [[name, list(s)] for name, s in shapes.items()]:
+        raise CheckpointError(f"{path}: header field 'tensors' does not match dims")
+    return dims, vocab, shapes

@@ -31,8 +31,9 @@ itself is never held whole.  The forward streams it through blocks of
 about 1 MiB of pairs (gather head rows, subtract tails, abs, sum over d),
 and the backward needs the full sign grid for its two matmuls.  The
 forward of a training step (`stacked_forward(..., signs=True)`) writes
-the signs into the thread's sign buffer as the blocks pass, and the
-backward of that trace takes them from there.  The backward of any
+the signs into the thread's int8 sign buffer as the blocks pass, and the
+backward of that trace takes them from there, as float64 one block of
+pairs or one relation row at a time.  The backward of any
 other trace (a serving forward's, in tests) rebuilds the residuals
 block by block.  The element operations and the sum over d are
 those of the whole grid, so scores, survivors, posteriors and gradients
@@ -42,10 +43,10 @@ distinct entity once: over an OWA grid (`PredictionStructure.grid`) as
 sums along the rows and columns of its n_head x n_tail layout, over an
 explicit pair list (CWA, tests) with a 0/1 matmul.  The entity gradient
 is non-zero only on those association rows, so `prediction_loss` keeps
-one dense batch gradient and each backward adds its head rows, then its
-tail rows, into it.  This is exact algebra, not an approximation: the
-scores and survivor sets are bit-for-bit those of the per-pair form, the
-rest agrees to rounding.
+one dense batch gradient, and each backward returns its head and tail
+rows (`EntityRows`) for the caller to add into it in chunk order.  This
+is exact algebra, not an approximation: the scores and survivor sets are
+bit-for-bit those of the per-pair form, the rest agrees to rounding.
 
 Signs for the survivor rows alone (the NA row plus about 0.2 of n_rel
 per pair at large scale) were tried and not kept: BLAS then sums the
@@ -64,8 +65,8 @@ the Q queries' logit gradients and returns the sum of their gradients:
 the tanh slopes, the pair projection, the posterior, the sign grid and
 the relation matmuls run once over the stack, the attention softmax
 backward per query over (Q, P), and the per-entity sums per query over
-a (Q, n_head, n_tail, k) reshape, whose head and tail rows are then
-added into the entity gradient query by query.  `prediction_forward`
+a (Q, n_head, n_tail, k) reshape, whose head and tail rows go into the
+entity gradient query by query.  `prediction_forward`
 and a backward of its trace are the Q = 1 case of the same steps.  The
 attention logits, the pooling and their backward take one BLAS product
 per query, as a lone query does, so a stacked query's probability and
@@ -93,7 +94,9 @@ as the smooth function the gradient differentiates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +111,7 @@ from .relational import (
     TripleSet,
     _posterior_grid,
     _residual_signs,
+    _scratch,
 )
 
 OWA_MODE = "OWA"
@@ -247,13 +251,29 @@ def assumption_vector(posterior_probs: np.ndarray, params: ModelParams) -> np.nd
 
 
 def _pair_projection(
-    params: ModelParams, heads: Distinct, tails: Distinct, assum_block: np.ndarray
+    params: ModelParams,
+    heads: Distinct,
+    tails: Distinct,
+    assum_block: np.ndarray,
+    grid: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """tanh([E[h]; E[t]; a] @ W + b) per pair, each distinct entity
-    projected once; `assum_block` holds each pair's a @ W_a."""
+    projected once; `assum_block` holds each pair's a @ W_a.  The head
+    rows are gathered per pair.  Over the stacked grids `grid`
+    (`stack_grids`) a query's n_tail tail rows are then added to each of
+    its heads' blocks by broadcast; over a pair list they are gathered per
+    pair too."""
     d, weight = params.dims.d, params.pair_weight
     pre = (params.entity_emb[heads.ids] @ weight[:d])[heads.inverse]
-    pre += (params.entity_emb[tails.ids] @ weight[d : 2 * d])[tails.inverse]
+    tail_proj = params.entity_emb[tails.ids] @ weight[d : 2 * d]
+    if grid is None:
+        pre += tail_proj[tails.inverse]
+    else:
+        n_queries, n_head = grid[0].shape
+        cells = (n_queries, n_head, grid[1].shape[1])
+        tail_cols = tails.inverse.reshape(cells)[:, 0, :]
+        by_cell = pre.reshape(cells + (-1,))
+        by_cell += tail_proj[tail_cols][:, None]
     pre += assum_block
     pre += params.pair_bias
     return np.tanh(pre, out=pre)
@@ -289,9 +309,10 @@ def attention_weights(params: ModelParams, pair_reprs: np.ndarray) -> np.ndarray
     return stable_softmax(_attention(params, pair_reprs)[1])[0]
 
 
-def _tanh_slope(h: np.ndarray) -> np.ndarray:
-    """1 - h**2, the derivative of tanh at tanh value h, in one new array."""
-    slope = np.multiply(h, h)
+def _tanh_slope(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - h**2, the derivative of tanh at tanh value h, in `out` or in
+    one new array."""
+    slope = np.multiply(h, h, out=out)
     return np.subtract(1.0, slope, out=slope)
 
 
@@ -386,7 +407,11 @@ def _pair_forward(
     # The assumption block a @ W_a is posterior @ (R @ W_a), of rank n_rel.
     w_assum = params.pair_weight[2 * d :]
     pair_reprs = _pair_projection(
-        params, heads, tails, posterior @ (params.relation_emb[:n_rel] @ w_assum)
+        params,
+        heads,
+        tails,
+        posterior @ (params.relation_emb[:n_rel] @ w_assum),
+        structure.grid,
     )
     attn_hidden, attn_logits = _attention(params, pair_reprs, n_queries)
     return (
@@ -506,12 +531,36 @@ def stacked_forward(
     )
 
 
+class EntityRows(NamedTuple):
+    """The entity gradient of a backward on its association rows alone.
+    Per group (a query of a grid stack, or a whole pair list): its
+    distinct head ids (G, n_h) and their gradient rows (G, n_h, d), then
+    the same for its tails."""
+
+    heads: np.ndarray
+    head_grad: np.ndarray
+    tails: np.ndarray
+    tail_grad: np.ndarray
+
+    def add_to(self, entity_grad: np.ndarray) -> None:
+        """Add the rows into a (V, d) gradient, group by group, each
+        group's head rows, then its tail rows."""
+        for group in range(len(self.heads)):
+            entity_grad[self.heads[group]] += self.head_grad[group]
+            entity_grad[self.tails[group]] += self.tail_grad[group]
+
+
+def _as_view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first math.prod(shape) entries of a flat `buffer` as `shape`."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
 def prediction_backward(
     params: ModelParams,
     trace: PredictionTrace,
     dlogit: float | np.ndarray,
     *,
-    entity_grad: np.ndarray | None = None,
+    sparse: bool = False,
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of the pipeline output logit scaled by `dlogit`,
     holding association membership and survivor sets constant.  Given a
@@ -524,10 +573,19 @@ def prediction_backward(
     survivors), and the L1 translation scores, into the entity and
     relation embeddings of the participating association pairs.
 
-    The entity gradient touches only the association rows.  Given an
-    `entity_grad` accumulator of the shape of `entity_emb`, those rows
-    are added into it and the returned dict has no "entity_emb" entry;
-    otherwise a dense gradient is allocated and returned.
+    The entity gradient touches only the association rows.  With
+    `sparse`, the "entity_emb" entry is those rows (`EntityRows`), for
+    the caller to add into one batch gradient; otherwise it is a dense
+    (V, d) array.  The backward adds into no array of its caller's, and
+    its scratch is the thread's, so backwards of different traces may run
+    on different threads.
+
+    The (Q * P, k) temporaries take turns in one scratch array, and the
+    int8 residual signs reach the two sign products through it as
+    float64: in blocks of pairs for each pair's sum over its rows, and
+    one relation row at a time for each row's sum over all pairs.  Each
+    product is the one BLAS call per pair or per row of the float64
+    sign grid, so the gradients keep its bytes.
     """
     dims = params.dims
     d, n_rel = dims.d, dims.n_rel
@@ -535,13 +593,18 @@ def prediction_backward(
     n_queries = len(attn)
     dlogits = np.asarray(dlogit, dtype=params.dtype).reshape(n_queries)
     e_repr = trace.pair_reprs  # (Q * P, d_p)
-    d_p = e_repr.shape[1]
+    n_pairs, d_p = e_repr.shape
+    # Scratch for the (Q * P, k) temporaries, and for at least one pair's
+    # signs: the thread's residual block buffer, which a backward leaves
+    # idle (if `_residual_signs` rebuilds the signs in it, the temporaries
+    # are spent by then).  A fresh array per call was trimmed from the
+    # heap and page-faulted in again on every call.
+    work_size = max(n_pairs * max(d, d_p, dims.d_a), (n_rel + 1) * d)
+    work = _scratch("block", (work_size,), params.dtype)
 
     grads: dict[str, np.ndarray] = {
         "relation_emb": np.zeros_like(params.relation_emb),
     }
-    if entity_grad is None:
-        entity_grad = grads["entity_emb"] = np.zeros_like(params.entity_emb)
     grads["out_weight"] = dlogits @ trace.pooled.reshape(n_queries, d_p)
     grads["out_bias"] = np.asarray(dlogits.sum())
 
@@ -557,14 +620,19 @@ def prediction_backward(
     grads["attn_vector"] = trace.attn_hidden.T @ d_attn_logits
     # d_attn_logits * v * (1 - h**2), the tanh slope formed in place.
     d_hidden = _tanh_slope(trace.attn_hidden)
-    d_hidden *= d_attn_logits[:, None] * params.attn_vector[None, :]
+    d_hidden *= np.multiply(
+        d_attn_logits[:, None],
+        params.attn_vector[None, :],
+        out=_as_view(work, d_hidden.shape),
+    )
     grads["attn_weight"] = d_hidden.T @ e_repr
     grads["attn_bias"] = d_hidden.sum(axis=0)
-    d_repr += d_hidden @ params.attn_weight
+    d_repr += np.matmul(d_hidden, params.attn_weight, out=_as_view(work, d_repr.shape))
+    del d_hidden
 
     # Pair projection pre = E[h] @ W_h + E[t] @ W_t + posterior @ R @ W_a + b.
     d_pre = d_repr
-    d_pre *= _tanh_slope(e_repr)  # (Q * P, d_p)
+    d_pre *= _tanh_slope(e_repr, out=_as_view(work, e_repr.shape))  # (Q * P, d_p)
     w_head, w_tail, w_assum = (
         params.pair_weight[:d],
         params.pair_weight[d : 2 * d],
@@ -586,11 +654,22 @@ def prediction_backward(
     # L1 translation scores: residual u = head + rel - tail, score = -|u|.
     signs = _residual_signs(
         params, trace.head_rows, trace.heads.inverse, trace.structure.pair_tails
-    )  # (Q * P, n_rel + 1, d)
-    pair_sign_sum = np.matmul(d_all_scores[:, None, :], signs)[:, 0, :]  # (Q * P, d)
-    rel_rows_grad = -np.matmul(
-        d_all_scores.T[:, None, :], signs.transpose(1, 0, 2)
-    )[:, 0, :]  # (n_rel + 1, d)
+    )  # (Q * P, n_rel + 1, d) int8
+    n_rows = signs.shape[1]
+    pair_sign_sum = np.empty((n_pairs, d), dtype=params.dtype)
+    step = max(1, len(work) // (n_rows * d))
+    for lo in range(0, n_pairs, step):
+        hi = min(lo + step, n_pairs)
+        block = _as_view(work, (hi - lo, n_rows, d))
+        np.copyto(block, signs[lo:hi])
+        np.matmul(d_all_scores[lo:hi, None, :], block, out=pair_sign_sum[lo:hi, None])
+    rel_rows_grad = np.empty((n_rows, d), dtype=params.dtype)
+    row_signs = _as_view(work, (n_pairs, d))
+    for k in range(n_rows):
+        np.copyto(row_signs, signs[:, k])
+        np.matmul(d_all_scores[:, k], row_signs, out=rel_rows_grad[k])
+    np.negative(rel_rows_grad, out=rel_rows_grad)
+    del work, block, row_signs
     grads["relation_emb"][:n_rel] += rel_rows_grad[:n_rel]
     grads["relation_emb"][dims.na_index] += rel_rows_grad[n_rel]
 
@@ -602,18 +681,27 @@ def prediction_backward(
         per_entity = _pair_list_sums(trace.heads, trace.tails, d_pre, pair_sign_sum)
     heads, d_pre_head, sign_head, tails, d_pre_tail, sign_tail = per_entity
     entity_emb = params.entity_emb
-    grads["pair_weight"] = np.concatenate(
-        [
-            entity_emb[heads.ravel()].T @ d_pre_head.reshape(-1, d_p),
-            entity_emb[tails.ravel()].T @ d_pre_tail.reshape(-1, d_p),
-            rel_fwd.T @ d_pre_by_rel,
-        ]
+    pair_weight = grads["pair_weight"] = np.empty_like(params.pair_weight)
+    np.matmul(
+        entity_emb[heads.ravel()].T, d_pre_head.reshape(-1, d_p), out=pair_weight[:d]
     )
-    head_grad = d_pre_head @ w_head.T - sign_head
-    tail_grad = d_pre_tail @ w_tail.T + sign_tail
-    for group in range(len(heads)):
-        entity_grad[heads[group]] += head_grad[group]
-        entity_grad[tails[group]] += tail_grad[group]
+    np.matmul(
+        entity_emb[tails.ravel()].T,
+        d_pre_tail.reshape(-1, d_p),
+        out=pair_weight[d : 2 * d],
+    )
+    np.matmul(rel_fwd.T, d_pre_by_rel, out=pair_weight[2 * d :])
+    rows = EntityRows(
+        heads,
+        d_pre_head @ w_head.T - sign_head,
+        tails,
+        d_pre_tail @ w_tail.T + sign_tail,
+    )
+    if sparse:
+        grads["entity_emb"] = rows
+    else:
+        grads["entity_emb"] = np.zeros_like(entity_emb)
+        rows.add_to(grads["entity_emb"])
     return grads
 
 

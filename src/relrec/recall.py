@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import PpmiMatrix
-from .numerics import log_softmax, stable_softmax
+from .numerics import stable_softmax
 from .params import ModelParams
 
 
@@ -79,9 +79,14 @@ def recall_loss(
     batch = np.asarray(batch, dtype=np.int64)
     if batch.ndim != 1 or len(batch) == 0:
         raise ValueError("batch must be a nonempty 1-d array of entity ids")
-    logits = params.entity_emb[batch] @ params.context_emb.T  # (B, V)
-    log_probs = log_softmax(logits, axis=1)
-    delta = np.exp(log_probs)  # becomes dL/dlogits after target subtraction
+    # The log-softmax of each row and its exp in two (B, V) arrays: the
+    # logits are shifted by their maximum and then by the log of their
+    # exps' sum in place.
+    log_probs = params.entity_emb[batch] @ params.context_emb.T  # (B, V) logits
+    log_probs -= log_probs.max(axis=1, keepdims=True)
+    delta = np.exp(log_probs)
+    log_probs -= np.log(delta.sum(axis=1, keepdims=True))
+    np.exp(log_probs, out=delta)  # becomes dL/dlogits after target subtraction
     loss = 0.0
     for row, entity in enumerate(batch):
         ids, vals = ppmi.row(int(entity))

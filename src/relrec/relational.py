@@ -266,13 +266,16 @@ def _thresholded_softmax(
 # (1024 pairs, 5 rows of d = 128) is 5 MiB in float64.
 _GRID_BLOCK_BYTES = 1 << 20
 
-# Per-thread buffers for the residual block and the backward's sign grid.
-# Allocated afresh per call, they were page-faulted in again and again:
-# about 140 minor faults per quickstart-sized forward and backward, which
-# cost more than the arithmetic done in them.  Beside the buffers,
+# Per-thread buffers for the residual block, the backward's sign grid and
+# scoring's association table ("table", apart from the signs, so neither
+# reallocates the other and a pending backward keeps its signs; see
+# `training._table_probabilities`).  Allocated afresh per call, they were
+# page-faulted in again and again: about 140 minor faults per
+# quickstart-sized forward and backward, which cost more than the
+# arithmetic done in them.  The sign grid is int8, an eighth of a float64
+# grid (640 KiB for a large query's 1024 pairs).  Beside the buffers,
 # `kept_signs` holds the signs a training step's forward leaves for its
-# backward (see `_posterior_grid`, `_residual_signs`).  Scoring borrows
-# the sign buffer for its association table (`_lend_sign_buffer`).
+# backward (see `_posterior_grid`, `_residual_signs`).
 _workspace = threading.local()
 
 
@@ -288,16 +291,14 @@ def _scratch(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _lend_sign_buffer(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """This thread's sign buffer as scratch of `shape` for another use:
-    scoring's association table (`training._table_probabilities`).  Only
-    a training step's backward reads the buffer, right after its own
-    forward, so dev evaluation reuses memory training already holds.
-    Signs a forward left there are dropped, so its backward rebuilds
-    them: the table may be filled on other threads, whose forwards do
-    not drop this thread's signs."""
-    _workspace.kept_signs = None
-    return _scratch("signs", shape, dtype)
+def _write_signs(block: np.ndarray, out: np.ndarray) -> None:
+    """sign(block) into the int8 array `out`, as (block > 0) - (block < 0):
+    two comparisons run about three times faster than np.sign into
+    float64, and give its values at every finite residual."""
+    less = _scratch("less", block.shape, np.bool_)
+    np.greater(block, 0, out=out.view(np.bool_))
+    np.less(block, 0, out=less)
+    np.subtract(out, less.view(np.int8), out=out)
 
 
 def _residual_blocks(
@@ -339,8 +340,8 @@ def _posterior_grid(
     row, and their thresholded softmax.  Also returns head_rows, the
     (U_h, n_rel + 1, d) head + relation rows of the distinct heads; the
     (P, n_rel + 1, d) residuals are only ever held one block at a time.
-    With `signs`, the residual signs are written into this thread's sign
-    buffer as the blocks pass, for the next `_residual_signs` of
+    With `signs`, the residual signs are written into this thread's int8
+    sign buffer as the blocks pass, for the next `_residual_signs` of
     head_rows (a training step's backward), which then need not rebuild
     the residuals."""
     dims = params.dims
@@ -353,12 +354,12 @@ def _posterior_grid(
     n_pairs = len(pair_tails)
     all_scores = np.empty((n_pairs, len(rows)), dtype=head_rows.dtype)
     if signs:
-        sign_grid = _scratch("signs", (n_pairs,) + head_rows.shape[1:], head_rows.dtype)
+        sign_grid = _scratch("signs", (n_pairs,) + head_rows.shape[1:], np.int8)
     for lo, hi, block in _residual_blocks(
         head_rows, heads.inverse, params.entity_emb, pair_tails
     ):
         if signs:
-            np.sign(block, out=sign_grid[lo:hi])
+            _write_signs(block, sign_grid[lo:hi])
         np.abs(block, out=block)
         block.sum(axis=2, out=all_scores[lo:hi])
     _workspace.kept_signs = (head_rows, sign_grid) if signs else None
@@ -377,20 +378,19 @@ def _residual_signs(
     head_inverse: np.ndarray,
     pair_tails: np.ndarray,
 ) -> np.ndarray:
-    """sign(head + relation - tail) of all pairs, (P, n_rel + 1, d), in
-    this thread's sign buffer: valid until the next call.  Each block's
-    signs are written from the residual block into the grid, since
-    np.sign in place runs several times slower than into another array.
-    Signs a forward of the same head_rows has just written (see
-    `_posterior_grid`) are taken as they are, once."""
+    """sign(head + relation - tail) of all pairs, (P, n_rel + 1, d) int8,
+    in this thread's sign buffer: valid until the next call.  Signs a
+    forward of the same head_rows has just written (see `_posterior_grid`)
+    are taken as they are, once; otherwise they are written block by
+    block from the rebuilt residuals."""
     kept, _workspace.kept_signs = getattr(_workspace, "kept_signs", None), None
     if kept is not None and kept[0] is head_rows:
         return kept[1]
-    signs = _scratch("signs", (len(pair_tails),) + head_rows.shape[1:], head_rows.dtype)
+    signs = _scratch("signs", (len(pair_tails),) + head_rows.shape[1:], np.int8)
     for lo, hi, block in _residual_blocks(
         head_rows, head_inverse, params.entity_emb, pair_tails
     ):
-        np.sign(block, out=signs[lo:hi])
+        _write_signs(block, signs[lo:hi])
     return signs
 
 

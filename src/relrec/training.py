@@ -36,14 +36,29 @@ pooled vector, so this is exact algebra.  A table is taken at most
 and is capped at 2 MiB: past it the queries go in groups, each with its
 own table (`_table_groups`).  Both paths work in blocks of about 1 MiB,
 so memory does not grow with the number of pairs.
+
+When each chunk is a single query (large dims) and the process may use
+more than one CPU, `joint_train` keeps a second lane, one worker thread,
+for the whole call (`_prediction_lane`).  The prediction step runs
+chunks 0, 2, 4, ... on the calling thread and chunks 1, 3, 5, ... on the
+lane, each chunk's forward and backward on one thread, since the signs
+the forward keeps for the backward are per thread (`_in_lanes`).  The
+backward returns its entity rows rather than adding them, and the
+calling thread applies every chunk's probabilities, loss, gradients and
+entity rows in chunk order, so the updates stay synchronous (no
+Hogwild-style shared writes) and the bytes are those of one lane.  Dev
+evaluation spreads its chunks the same way.  A chunk of several queries
+(quickstart dims) runs on one lane: a second thread gave no gain there.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import logging
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass
@@ -75,7 +90,7 @@ from .relational import (
     LabeledPair,
     RelationSchema,
     TripleSet,
-    _lend_sign_buffer,
+    _scratch,
     relational_loss,
 )
 
@@ -154,15 +169,21 @@ def prediction_loss(
     n_tail: int,
     *,
     structures: list | None = None,
+    lane: ThreadPoolExecutor | None = None,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """Binary cross entropy of the full pipeline over a pair batch, with
     analytic gradients.  Returns (loss, grads, probabilities).
 
     The queries go in chunks (`_grid_chunks`), each one stacked forward
-    and one backward.  A chunk's entity gradient touches only its
-    association rows, which are added into one dense batch gradient.
-    `structures`, one frozen grid structure per pair, fixes the pair and
-    survivor sets (see `grad_check`)."""
+    and one backward on one thread (`_chunk_step`).  A chunk's entity
+    gradient touches only its association rows, which are added into one
+    dense batch gradient.  With a `lane` (`_prediction_lane`), chunks 1,
+    3, 5, ... run on its thread while this one runs chunks 0, 2, 4, ....
+    Either way each chunk's probabilities, loss, gradients and entity
+    rows are applied here in chunk order, so the results have the same
+    bytes with or without the lane.  `structures`, one frozen grid
+    structure per pair, fixes the pair and survivor sets (see
+    `grad_check`)."""
     if not pairs:
         raise ValueError("empty pair batch")
     labels = np.array([float(p.label) for p in pairs])
@@ -170,25 +191,80 @@ def prediction_loss(
     grads: dict[str, np.ndarray] = {"entity_emb": entity_grad}
     probs = np.empty(len(pairs), dtype=np.float64)
     loss = 0.0
-    lo = 0
     if structures is None:
         heads, tails = _recall_grids(params, pairs, n_head, n_tail)
         survivors = None
     else:
         heads, tails = (np.stack([s.grid[k][0] for s in structures]) for k in (0, 1))
         survivors = [s.survivors for s in structures]
-    for structure in _grid_chunks(params, heads, tails, survivors):
-        trace = stacked_forward(params, structure, signs=True)
-        hi = lo + len(trace.probability)
-        probs[lo:hi] = trace.probability
-        chunk_loss, dlogits = bce_loss(trace.probability, labels[lo:hi])
+
+    def labeled_chunks():
+        lo = 0
+        for structure in _grid_chunks(params, heads, tails, survivors):
+            hi = lo + len(structure.grid[0])
+            yield structure, labels[lo:hi]
+            lo = hi
+
+    lo = 0
+    for chunk_probs, chunk_loss, chunk_grads in _in_lanes(
+        lambda chunk: _chunk_step(params, *chunk), labeled_chunks(), lane
+    ):
+        hi = lo + len(chunk_probs)
+        probs[lo:hi] = chunk_probs
         loss += chunk_loss
-        accumulate_grads(
-            grads,
-            prediction_backward(params, trace, dlogits, entity_grad=entity_grad),
-        )
+        chunk_grads.pop("entity_emb").add_to(entity_grad)
+        accumulate_grads(grads, chunk_grads)
         lo = hi
     return loss, grads, probs
+
+
+def _chunk_step(
+    params: ModelParams, structure, labels: np.ndarray
+) -> tuple[np.ndarray, float, dict]:
+    """One chunk of the prediction step: its stacked forward, loss and
+    backward, on this thread, whose sign buffer carries the signs from
+    the forward to the backward.  Returns the probabilities, the loss
+    and the gradients, with the entity gradient as rows (`EntityRows`)."""
+    trace = stacked_forward(params, structure, signs=True)
+    loss, dlogits = bce_loss(trace.probability, labels)
+    return (
+        trace.probability,
+        loss,
+        prediction_backward(params, trace, dlogits, sparse=True),
+    )
+
+
+def _in_lanes(fn, items, lane: ThreadPoolExecutor | None):
+    """fn(item) of each item, yielded in order.  With a `lane`, a
+    one-thread executor, items 1, 3, 5, ... run on its thread while items
+    0, 2, 4, ... run on this one, so at most two are in flight."""
+    if lane is None:
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    for item in items:
+        follower = next(items, None)
+        pending = None if follower is None else lane.submit(fn, follower)
+        yield fn(item)
+        if pending is not None:
+            yield pending.result()
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _prediction_lane(params: ModelParams, n_pairs: int):
+    """A context giving the prediction step's second lane, a one-thread
+    executor, or None.  A lane is given when each chunk is a single query
+    (`_chunk_queries` of its `n_pairs` pairs is 1), whose long numpy
+    calls leave the GIL free for a second thread, and this process may
+    use more than one CPU.  At quickstart dims, 4 queries share a chunk,
+    and a second thread gave no gain there (see CHANGES.md)."""
+    if _usable_cpus() > 1 and _chunk_queries(params, n_pairs) == 1:
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix="relrec-lane")
+    return contextlib.nullcontext()
 
 
 @dataclass
@@ -247,6 +323,7 @@ def predict_probabilities(
     n_tail: int,
     *,
     threads: int = 1,
+    lane: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
     """The model's probability for each pair, equal to its
     `prediction_forward(...).probability` to rounding.
@@ -259,8 +336,10 @@ def predict_probabilities(
     (`_table_probabilities`).  The other queries are scored in the chunks
     of `_grid_chunks`, each chunk one forward over its stacked
     association grids.  With `threads` > 1 the table's blocks and the
-    chunks are spread over that many threads; the blocks and chunks are
-    the same at any thread count, and so are the results.
+    chunks are spread over that many threads; with a `lane` (training's
+    dev evaluation) every second one runs on the lane's thread, as in
+    `prediction_loss`.  The blocks and chunks are the same either way,
+    and so are the results.
     """
     if not pairs:
         return np.empty(0, dtype=np.float64)
@@ -269,7 +348,9 @@ def predict_probabilities(
     in_chunks = np.ones(len(pairs), dtype=bool)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     with pool or contextlib.nullcontext():
-        mapper = map if pool is None else pool.map
+        mapper = functools.partial(_in_lanes, lane=lane)
+        if pool is not None:
+            mapper = pool.map
         for group, table in _table_groups(params, heads, tails):
             if table is not None:
                 probs[group] = _table_probabilities(
@@ -326,7 +407,7 @@ def _grid_chunks(
 _TABLE_CROSSOVER = 0.9
 
 # Bytes of a table's attention logits and values (two per pair), held in
-# the thread's sign buffer.  A larger table is split: the queries go in
+# the thread's table buffer.  A larger table is split: the queries go in
 # groups, each with its own table.  2 MiB holds a 362 x 362 table in
 # float64.  (At 1 MiB, a call of 720 pairs at 16 associations whose table
 # had 77,406 pairs, 0.42 of its grids, fell to the chunks: each group cut
@@ -393,13 +474,13 @@ def _table_probabilities(
     """The probabilities of the queries with (Q, n_head) heads and
     (Q, n_tail) tails, through their association table table_heads x
     table_tails: the table is scored in blocks of rows
-    (`rationale.score_table`) into this thread's sign buffer; then each
+    (`rationale.score_table`) into this thread's table buffer; then each
     block of queries takes its grids' cells of the table
     (`rationale.table_probabilities`), so no (Q, P) array of the whole
     call is held.  `mapper` runs the blocks (`map`, or a thread pool's)."""
     n_rows, n_cols = len(table_heads.ids), len(table_tails.ids)
     n_pairs = heads.shape[1] * tails.shape[1]
-    table = _lend_sign_buffer((2, n_rows * n_cols), params.dtype)
+    table = _scratch("table", (2, n_rows * n_cols), params.dtype)
     # The table is held beside each block's temporaries.  So a block of
     # rows has half the pairs of a chunk of queries, and a block of
     # queries keeps its six (b, P) arrays (cell indices, gathered logits
@@ -502,84 +583,87 @@ def joint_train(
     stall = 0
     epochs_run = 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        start = time.perf_counter()
-        epochs_run = epoch
-        order = rng.permutation(len(train_pairs))
-        sums = {"recall": 0.0, "relational": 0.0, "prediction": 0.0}
-        for step in range(steps_per_epoch):
-            batch = rng.choice(
-                support, size=min(config.b1, len(support)), replace=False
-            )
-            loss, grads = recall_loss(params, ppmi, batch)
-            _check_finite(loss, "recall", epoch)
-            adam_step(params, grads, state)
-            sums["recall"] += loss / len(batch)
+    # The association grids are min(n_assoc, V - 1) entities a side.
+    n_pairs = min(config.n_assoc, params.vocab_size - 1) ** 2
+    with _prediction_lane(params, n_pairs) as lane:
+        for epoch in range(1, config.max_epochs + 1):
+            start = time.perf_counter()
+            epochs_run = epoch
+            order = rng.permutation(len(train_pairs))
+            sums = {"recall": 0.0, "relational": 0.0, "prediction": 0.0}
+            for step in range(steps_per_epoch):
+                batch = rng.choice(
+                    support, size=min(config.b1, len(support)), replace=False
+                )
+                loss, grads = recall_loss(params, ppmi, batch)
+                _check_finite(loss, "recall", epoch)
+                adam_step(params, grads, state)
+                sums["recall"] += loss / len(batch)
 
-            idx = rng.choice(
-                len(augmented), size=min(config.b2, len(augmented)), replace=False
-            )
-            batch_triples = augmented_ids[idx]
-            corruption_seed = int(rng.integers(0, 2**63 - 1))
-            loss, grads = relational_loss(
-                params, batch_triples, config.n_neg, seed=corruption_seed
-            )
-            _check_finite(loss, "relational", epoch)
-            adam_step(params, grads, state)
-            sums["relational"] += loss / len(batch_triples)
+                idx = rng.choice(
+                    len(augmented), size=min(config.b2, len(augmented)), replace=False
+                )
+                batch_triples = augmented_ids[idx]
+                corruption_seed = int(rng.integers(0, 2**63 - 1))
+                loss, grads = relational_loss(
+                    params, batch_triples, config.n_neg, seed=corruption_seed
+                )
+                _check_finite(loss, "relational", epoch)
+                adam_step(params, grads, state)
+                sums["relational"] += loss / len(batch_triples)
 
-            sl = order[step * config.b3 : (step + 1) * config.b3]
-            batch_pairs = [train_pairs[i] for i in sl]
-            loss, grads, _ = prediction_loss(
-                params, batch_pairs, config.n_assoc, config.n_assoc
-            )
-            _check_finite(loss, "prediction", epoch)
-            adam_step(params, grads, state)
-            sums["prediction"] += loss / len(batch_pairs)
+                sl = order[step * config.b3 : (step + 1) * config.b3]
+                batch_pairs = [train_pairs[i] for i in sl]
+                loss, grads, _ = prediction_loss(
+                    params, batch_pairs, config.n_assoc, config.n_assoc, lane=lane
+                )
+                _check_finite(loss, "prediction", epoch)
+                adam_step(params, grads, state)
+                sums["prediction"] += loss / len(batch_pairs)
 
-        dev_probs = predict_probabilities(
-            params, dev_pairs, config.n_assoc, config.n_assoc
-        )
-        dev_precision, dev_recall, dev_f1 = f1_score(dev_probs, dev_labels)
-        log.append(
-            EpochLog(
-                epoch=epoch,
-                loss_recall=sums["recall"] / steps_per_epoch,
-                loss_relational=sums["relational"] / steps_per_epoch,
-                loss_prediction=sums["prediction"] / steps_per_epoch,
-                dev_precision=dev_precision,
-                dev_recall=dev_recall,
-                dev_f1=dev_f1,
-                wall_seconds=time.perf_counter() - start,
+            dev_probs = predict_probabilities(
+                params, dev_pairs, config.n_assoc, config.n_assoc, lane=lane
             )
-        )
-        logger.info(
-            "epoch %d: L_n=%.4f L_r=%.4f L_p=%.4f dev_f1=%.4f",
-            epoch,
-            log[-1].loss_recall,
-            log[-1].loss_relational,
-            log[-1].loss_prediction,
-            dev_f1,
-        )
-        # Patience counts epochs since the last strict improvement.
-        stall = 0 if dev_f1 > best_f1 else stall + 1
-        if dev_f1 >= best_f1:
-            # On ties, prefer the later epoch: the dev metric often
-            # saturates while the relation geometry is still
-            # sharpening, and the fresher parameters rationalize
-            # better at identical dev F1.
-            best_f1 = dev_f1
-            best_epoch = epoch
-            best_params = params.copy()
-            best_state = state.copy()
-        if stall >= config.patience:
+            dev_precision, dev_recall, dev_f1 = f1_score(dev_probs, dev_labels)
+            log.append(
+                EpochLog(
+                    epoch=epoch,
+                    loss_recall=sums["recall"] / steps_per_epoch,
+                    loss_relational=sums["relational"] / steps_per_epoch,
+                    loss_prediction=sums["prediction"] / steps_per_epoch,
+                    dev_precision=dev_precision,
+                    dev_recall=dev_recall,
+                    dev_f1=dev_f1,
+                    wall_seconds=time.perf_counter() - start,
+                )
+            )
             logger.info(
-                "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
+                "epoch %d: L_n=%.4f L_r=%.4f L_p=%.4f dev_f1=%.4f",
                 epoch,
-                best_f1,
-                best_epoch,
+                log[-1].loss_recall,
+                log[-1].loss_relational,
+                log[-1].loss_prediction,
+                dev_f1,
             )
-            break
+            # Patience counts epochs since the last strict improvement.
+            stall = 0 if dev_f1 > best_f1 else stall + 1
+            if dev_f1 >= best_f1:
+                # On ties, prefer the later epoch: the dev metric often
+                # saturates while the relation geometry is still
+                # sharpening, and the fresher parameters rationalize
+                # better at identical dev F1.
+                best_f1 = dev_f1
+                best_epoch = epoch
+                best_params = params.copy()
+                best_state = state.copy()
+            if stall >= config.patience:
+                logger.info(
+                    "early stop at epoch %d (best dev F1 %.4f at epoch %d)",
+                    epoch,
+                    best_f1,
+                    best_epoch,
+                )
+                break
 
     return TrainResult(
         params=best_params,

@@ -270,6 +270,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("rehash", [False, True], ids=["stale-sum", "rehashed"])
+    def test_file_cut_inside_a_tensor(self, tmp_path, rehash):
+        # Cut 5 bytes into the context_emb block.  The checksum is still
+        # reported first; with a matching checksum, the length is.
+        params, _, _, _, path = self.roundtrip(tmp_path, True)
+        data = path.read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        payload = data[newline + 1 : newline + 1 + params.entity_emb.nbytes + 5]
+        if rehash:
+            header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        message = "truncated tensor payload" if rehash else "checksum"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(str(path))
+
+    def test_oversized_dims_rejected_before_reading(self, tmp_path):
+        # A header whose dims declare 8 TB of tensors, with a checksum that
+        # matches its short payload: rejected from the file's length,
+        # without allocating the tensors.
+        _, _, _, _, path = self.roundtrip(tmp_path, False)
+        data = path.read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        header["dims"]["d"] = 10**11
+        header["tensors"] = [
+            [name, list(shape)]
+            for name, shape in expected_shapes(
+                ModelDims(**header["dims"]), header["vocab_size"]
+            ).items()
+        ]
+        path.write_bytes(json.dumps(header).encode() + data[newline:])
+        with pytest.raises(CheckpointError, match="truncated tensor payload"):
+            load_checkpoint(str(path))
+
     def test_unsupported_version_detected(self, tmp_path):
         _, _, _, _, path = self.roundtrip(tmp_path, False)
         data = path.read_bytes()

@@ -5,6 +5,8 @@ import csv
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +707,132 @@ class TestBlasThreadCount:
             assert run.returncode == 0, run.stderr
             digests.add(run.stdout.strip())
         assert len(digests) == 1
+
+
+# One epoch of joint training on a tiny world with every chunk a single
+# query, lanes forced on (argv[1] = 2 CPUs) or off (1).  Prints the sha256
+# of the saved checkpoint and the number of threads that ran chunks.
+LANE_SCRIPT = """
+import hashlib, os, sys, threading
+from relrec import training
+from relrec.evaluation import generate_synthetic, split_dataset
+from relrec.graph import compute_ppmi
+from relrec.params import save_checkpoint
+
+training._usable_cpus = lambda: int(sys.argv[1])
+training._chunk_queries = lambda *_: 1
+threads = set()
+chunk_step = training._chunk_step
+
+def recorded(*args):
+    threads.add(threading.current_thread().name)
+    return chunk_step(*args)
+
+training._chunk_step = recorded
+world = generate_synthetic(n_entities=40, n_clusters=4, n_rel=2, seed=3)
+ppmi = compute_ppmi(world.graph)
+train, dev, _ = split_dataset(world.pairs_by_relation[0], seed=3)
+config = training.TrainConfig(
+    d=8, seed=3, max_epochs=1, lr=0.01, b1=32, b2=32, b3=16, n_assoc=4, n_neg=8
+)
+result = training.joint_train(
+    world.graph, ppmi, world.triples, train, dev, config, world.schema
+)
+path = os.path.join(sys.argv[2], "model.bin")
+save_checkpoint(path, result.params, world.graph.vocab, {}, state=result.state)
+with open(path, "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest(), len(threads))
+"""
+
+
+class TestPredictionLanes:
+    """With a second lane, the prediction step runs every second chunk on
+    the lane's thread, and the calling thread applies every chunk's
+    results in chunk order: the same bytes as one lane."""
+
+    @staticmethod
+    def large_model():
+        # Large dims (d = 128, 32 x 32 grids), where a chunk is one query.
+        params = init_params(ModelDims.square(128, 4), 200, seed=0)
+        assert training._chunk_queries(params, 32 * 32) == 1
+        return params
+
+    def test_same_checkpoint_bytes_with_and_without_lanes(self, tmp_path):
+        src = str(Path(relrec.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        lines = {}
+        for cpus in ("2", "1"):
+            out = tmp_path / cpus
+            out.mkdir()
+            run = subprocess.run(
+                [sys.executable, "-c", LANE_SCRIPT, cpus, str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            lines[cpus] = run.stdout.split()
+        assert lines["2"][1] == "2" and lines["1"][1] == "1"
+        assert lines["2"][0] == lines["1"][0]
+
+    def test_step_and_scoring_same_bytes_on_a_lane(self, monkeypatch):
+        monkeypatch.setattr(training, "_chunk_queries", lambda *_: 1)
+        params = random_model(30, 6, seed=2)
+        pairs = random_pairs(30, 7, seed=2)
+        expected = prediction_loss(params, pairs, 5, 5)
+        dev = training.predict_probabilities(params, pairs, 5, 5)
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            got = prediction_loss(params, pairs, 5, 5, lane=lane)
+            dev_got = training.predict_probabilities(params, pairs, 5, 5, lane=lane)
+        assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+        assert got[2].tobytes() == expected[2].tobytes()
+        assert got[1].keys() == expected[1].keys()
+        for name, grad in expected[1].items():
+            assert got[1][name].tobytes() == grad.tobytes(), name
+        assert dev_got.tobytes() == dev.tobytes()
+
+    def test_in_lanes_keeps_order_and_alternates_threads(self):
+        def where(item):
+            return item, threading.current_thread().name
+
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="lane") as lane:
+            done = list(training._in_lanes(where, range(7), lane))
+        assert [item for item, _ in done] == list(range(7))
+        here = threading.current_thread().name
+        assert all((name == here) == (item % 2 == 0) for item, name in done)
+        assert list(training._in_lanes(where, range(3), None)) == [
+            (i, here) for i in range(3)
+        ]
+
+    def test_lane_only_for_single_query_chunks_and_several_cpus(self, monkeypatch):
+        large = self.large_model()
+        quickstart = init_params(ModelDims.square(32, 4), 300, seed=0)
+        assert training._chunk_queries(quickstart, 16 * 16) > 1
+        for cpus, params, n_pairs, wanted in [
+            (2, large, 32 * 32, True),
+            (1, large, 32 * 32, False),
+            (2, quickstart, 16 * 16, False),
+        ]:
+            monkeypatch.setattr(training, "_usable_cpus", lambda cpus=cpus: cpus)
+            with training._prediction_lane(params, n_pairs) as lane:
+                assert isinstance(lane, ThreadPoolExecutor) == wanted
+
+    def test_second_lane_peak_memory(self, traced_peak):
+        # Each lane holds its thread's buffers (the int8 sign grid, the
+        # residual block) and one chunk's forward and backward.  The
+        # float64 sign grid alone was 5 (P, d) arrays per thread.
+        params = self.large_model()
+        pairs = random_pairs(200, 8, seed=3)
+        pair_rows = 1024 * params.dims.d * 8
+
+        def two_lanes():
+            with ThreadPoolExecutor(max_workers=1) as lane:
+                return prediction_loss(params, pairs, 32, 32, lane=lane)
+
+        one, one_peak, _ = traced_peak(lambda: prediction_loss(params, pairs, 32, 32))
+        two, two_peak, _ = traced_peak(two_lanes)
+        assert two[2].tobytes() == one[2].tobytes()
+        assert one_peak < 10 * pair_rows
+        assert two_peak - one_peak < 8.5 * pair_rows
 
 
 class TestTrainingLog:
