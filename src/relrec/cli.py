@@ -45,6 +45,7 @@ from .relational import RelationSchema, TripleSet, load_triples_tsv
 from .training import (
     TrainConfig,
     TrainingDivergedError,
+    _prediction_lane,
     joint_train,
     predict_probabilities,
     write_training_log,
@@ -160,6 +161,15 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return parts  # validity is checked by split_dataset
 
 
+def _check_output_dirs(cfg: dict, *keys: str) -> None:
+    """Outputs are written after the long work; a missing directory is
+    found before it."""
+    for key in keys:
+        folder = os.path.dirname(cfg[key] or "") or "."
+        if not os.path.isdir(folder):
+            raise DataError(f"--{key}: directory {folder!r} does not exist")
+
+
 def _set_fields(cfg: dict, fields: dict[str, str]) -> dict:
     """The values a flag or the config file set, keyed by the field name
     that `fields` maps each option name to; unset options are left out,
@@ -187,11 +197,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"invalid training option: {exc}") from None
     ratios = SPLIT_RATIOS if cfg["ratios"] is None else _parse_ratios(cfg["ratios"])
-    # Outputs are written after training; a missing directory is found now.
-    for key in ("out", "log"):
-        folder = os.path.dirname(cfg[key] or "") or "."
-        if not os.path.isdir(folder):
-            raise DataError(f"--{key}: directory {folder!r} does not exist")
+    _check_output_dirs(cfg, "out", "log")
     graph = load_cooc_graph(cfg["graph"])
     ppmi = compute_ppmi(graph)
     schema = RelationSchema(names=_relation_names_in_tsv(cfg["triples"]))
@@ -275,7 +281,6 @@ EVALUATE_DEFAULTS = {
     "model": None,
     "pairs": None,
     "dump": None,
-    "threads": 1,
     "threshold": DEFAULT_THRESHOLD,
 }
 
@@ -333,10 +338,9 @@ def _load_model(path: str):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, EVALUATE_DEFAULTS)
     _require(cfg, "model", "pairs")
-    if cfg["threads"] < 1:
-        raise UsageError(f"--threads must be >= 1, got {cfg['threads']}")
     if not 0.0 <= cfg["threshold"] <= 1.0:  # also refuses nan
         raise UsageError(f"--threshold must be in [0, 1], got {cfg['threshold']}")
+    _check_output_dirs(cfg, "dump")
     checkpoint, schema, target, n_assoc = _load_model(cfg["model"])
     target_name = schema.names[target]
     pairs = [
@@ -349,9 +353,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"no pairs for the model's target relation "
             f"{target_name!r} in {cfg['pairs']}"
         )
-    probs = predict_probabilities(
-        checkpoint.params, pairs, n_assoc, n_assoc, threads=cfg["threads"]
-    )
+    params = checkpoint.params
+    with _prediction_lane(params, n_assoc) as lane:
+        probs = predict_probabilities(params, pairs, n_assoc, n_assoc, lane=lane)
     labels = np.array([p.label for p in pairs], dtype=np.float64)
     precision, recall, f1 = f1_score(probs, labels, threshold=cfg["threshold"])
     if cfg["dump"]:
@@ -485,7 +489,6 @@ def build_parser() -> _Parser:
 
     p_eval = sub.add_parser("evaluate", help="score labeled pairs with a model")
     add_common(p_eval)
-    p_eval.add_argument("--threads", type=int, default=None)
     p_eval.add_argument("--model")
     p_eval.add_argument("--pairs")
     p_eval.add_argument("--dump")

@@ -38,17 +38,19 @@ own table (`_table_groups`).  Both paths work in blocks of about 1 MiB,
 so memory does not grow with the number of pairs.
 
 When each chunk is a single query (large dims) and the process may use
-more than one CPU, `joint_train` keeps a second lane, one worker thread,
-for the whole call (`_prediction_lane`).  The prediction step runs
-chunks 0, 2, 4, ... on the calling thread and chunks 1, 3, 5, ... on the
-lane, each chunk's forward and backward on one thread, since the signs
-the forward keeps for the backward are per thread (`_in_lanes`).  The
-backward returns its entity rows rather than adding them, and the
-calling thread applies every chunk's probabilities, loss, gradients and
-entity rows in chunk order, so the updates stay synchronous (no
-Hogwild-style shared writes) and the bytes are those of one lane.  Dev
-evaluation spreads its chunks the same way.  A chunk of several queries
-(quickstart dims) runs on one lane: a second thread gave no gain there.
+more than one CPU, `joint_train` and `relrec evaluate` keep a second
+lane, one worker thread, for the whole call (`_prediction_lane`).  The
+prediction step runs chunks 0, 2, 4, ... on the calling thread and
+chunks 1, 3, 5, ... on the lane, each chunk's forward and backward on
+one thread, since the signs the forward keeps for the backward are per
+thread (`_in_lanes`).  The backward returns its entity rows rather than
+adding them, and the calling thread applies every chunk's
+probabilities, loss, gradients and entity rows in chunk order, so the
+updates stay synchronous (no Hogwild-style shared writes) and the bytes
+are those of one lane.  Scoring (dev evaluation, `relrec evaluate`)
+spreads its chunks and table blocks the same way.  A chunk of several
+queries (quickstart dims) runs on one lane: a second thread gave no
+gain there.
 """
 
 from __future__ import annotations
@@ -251,17 +253,22 @@ def _in_lanes(fn, items, lane: ThreadPoolExecutor | None):
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The number of CPUs this process may run on: its affinity set where
+    the platform reports one (Linux), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _prediction_lane(params: ModelParams, n_pairs: int):
+def _prediction_lane(params: ModelParams, n_assoc: int):
     """A context giving the prediction step's second lane, a one-thread
     executor, or None.  A lane is given when each chunk is a single query
-    (`_chunk_queries` of its `n_pairs` pairs is 1), whose long numpy
-    calls leave the GIL free for a second thread, and this process may
-    use more than one CPU.  At quickstart dims, 4 queries share a chunk,
-    and a second thread gave no gain there (see CHANGES.md)."""
+    (`_chunk_queries` of the association grids' pairs is 1), whose long
+    numpy calls leave the GIL free for a second thread, and this process
+    may use more than one CPU.  At quickstart dims, 4 queries share a
+    chunk, and a second thread gave no gain there (see CHANGES.md)."""
+    # The association grids are min(n_assoc, V - 1) entities a side.
+    n_pairs = min(n_assoc, params.vocab_size - 1) ** 2
     if _usable_cpus() > 1 and _chunk_queries(params, n_pairs) == 1:
         return ThreadPoolExecutor(max_workers=1, thread_name_prefix="relrec-lane")
     return contextlib.nullcontext()
@@ -322,7 +329,6 @@ def predict_probabilities(
     n_head: int,
     n_tail: int,
     *,
-    threads: int = 1,
     lane: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
     """The model's probability for each pair, equal to its
@@ -335,33 +341,28 @@ def predict_probabilities(
     table: each table pair once, then each query from its cells
     (`_table_probabilities`).  The other queries are scored in the chunks
     of `_grid_chunks`, each chunk one forward over its stacked
-    association grids.  With `threads` > 1 the table's blocks and the
-    chunks are spread over that many threads; with a `lane` (training's
-    dev evaluation) every second one runs on the lane's thread, as in
-    `prediction_loss`.  The blocks and chunks are the same either way,
-    and so are the results.
+    association grids.  With a `lane` (`_prediction_lane`) every second
+    table block and chunk runs on the lane's thread, as in
+    `prediction_loss`.  The blocks and chunks are the same
+    either way, and so are the results.
     """
     if not pairs:
         return np.empty(0, dtype=np.float64)
     heads, tails = _recall_grids(params, pairs, n_head, n_tail)
     probs = np.empty(len(pairs), dtype=np.float64)
     in_chunks = np.ones(len(pairs), dtype=bool)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    with pool or contextlib.nullcontext():
-        mapper = functools.partial(_in_lanes, lane=lane)
-        if pool is not None:
-            mapper = pool.map
-        for group, table in _table_groups(params, heads, tails):
-            if table is not None:
-                probs[group] = _table_probabilities(
-                    params, heads[group], tails[group], *table, mapper
-                )
-                in_chunks[group] = False
-        if in_chunks.any():
-            chunks = _grid_chunks(params, heads[in_chunks], tails[in_chunks])
-            probs[in_chunks] = np.concatenate(
-                list(mapper(lambda s: stacked_forward(params, s).probability, chunks))
+    mapper = functools.partial(_in_lanes, lane=lane)
+    for group, table in _table_groups(params, heads, tails):
+        if table is not None:
+            probs[group] = _table_probabilities(
+                params, heads[group], tails[group], *table, mapper
             )
+            in_chunks[group] = False
+    if in_chunks.any():
+        chunks = _grid_chunks(params, heads[in_chunks], tails[in_chunks])
+        probs[in_chunks] = np.concatenate(
+            list(mapper(lambda s: stacked_forward(params, s).probability, chunks))
+        )
     return probs
 
 
@@ -477,7 +478,7 @@ def _table_probabilities(
     (`rationale.score_table`) into this thread's table buffer; then each
     block of queries takes its grids' cells of the table
     (`rationale.table_probabilities`), so no (Q, P) array of the whole
-    call is held.  `mapper` runs the blocks (`map`, or a thread pool's)."""
+    call is held.  `mapper` runs the blocks (`map`, or `_in_lanes`)."""
     n_rows, n_cols = len(table_heads.ids), len(table_tails.ids)
     n_pairs = heads.shape[1] * tails.shape[1]
     table = _scratch("table", (2, n_rows * n_cols), params.dtype)
@@ -583,9 +584,7 @@ def joint_train(
     stall = 0
     epochs_run = 0
 
-    # The association grids are min(n_assoc, V - 1) entities a side.
-    n_pairs = min(config.n_assoc, params.vocab_size - 1) ** 2
-    with _prediction_lane(params, n_pairs) as lane:
+    with _prediction_lane(params, config.n_assoc) as lane:
         for epoch in range(1, config.max_epochs + 1):
             start = time.perf_counter()
             epochs_run = epoch

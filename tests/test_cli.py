@@ -6,6 +6,9 @@ import gzip
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,31 @@ def workspace(tmp_path_factory):
     )
     assert code == 0
     return {"root": root, "data": data, "model": model, "splits": splits}
+
+
+# `relrec evaluate` (argv[2:]) with every chunk a single query and
+# argv[1] usable CPUs.  Writes to standard error the number of threads
+# that scored chunks or table blocks.
+EVALUATE_LANES_SCRIPT = """
+import sys, threading
+from relrec import cli, training
+
+training._usable_cpus = lambda: int(sys.argv[1])
+training._chunk_queries = lambda *_: 1
+threads = set()
+
+def recorded(fn):
+    def call(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return fn(*args, **kwargs)
+    return call
+
+training.stacked_forward = recorded(training.stacked_forward)
+training.score_table = recorded(training.score_table)
+code = cli.main(sys.argv[2:])
+print("threads", len(threads), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def run(argv, capsys):
@@ -123,23 +151,30 @@ class TestPipeline:
         assert label in ("0", "1")
         assert 0.0 <= float(prob) <= 1.0
 
-    def test_evaluate_threads_match_single(
-        self, workspace, capsys, tmp_path, monkeypatch
+    def test_evaluate_same_bytes_on_one_two_and_three_cpus(
+        self, workspace, tmp_path
     ):
-        # Chunks of 3 queries, so that both threads score several chunks.
-        monkeypatch.setattr(relrec.training, "_chunk_queries", lambda *_: 3)
-        argv = ["evaluate", "--model", str(workspace["model"]),
-                "--pairs", str(workspace["splits"] / "test.tsv")]
-        results = []
-        for threads in ("1", "2"):
-            dump = tmp_path / f"probs{threads}.tsv"
-            code, out, _ = run(
-                argv + ["--threads", threads, "--dump", str(dump)], capsys
+        # Fresh interpreters, each with its own lanes and thread buffers.
+        src = str(Path(relrec.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        results = {}
+        for cpus in ("1", "2", "3"):
+            dump = tmp_path / f"probs{cpus}.tsv"
+            proc = subprocess.run(
+                [sys.executable, "-c", EVALUATE_LANES_SCRIPT, cpus, "evaluate",
+                 "--model", str(workspace["model"]),
+                 "--pairs", str(workspace["splits"] / "test.tsv"),
+                 "--dump", str(dump)],
+                env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True, text=True, timeout=300,
             )
-            assert code == 0
-            results.append((out, dump.read_bytes()))
-        assert len(results[0][1].splitlines()) > 6
-        assert results[0] == results[1]
+            assert proc.returncode == 0, proc.stderr
+            # One lane beyond the calling thread whenever CPUs > 1.
+            threads = int(proc.stderr.split()[-1])
+            assert threads == min(int(cpus), 2)
+            results[cpus] = (proc.stdout, dump.read_bytes())
+        assert len(results["1"][1].splitlines()) > 6
+        assert results["1"] == results["2"] == results["3"]
 
     def test_rationalize_owa(self, workspace, capsys):
         pairs = load_split(workspace, "test")
@@ -282,8 +317,10 @@ class TestConfigFile:
              "/nonexistent/t.tsv", "--pairs", "/nonexistent/p.tsv", "--out", "m.bin"],
             ["rationalize", "--model", "/nonexistent/m.bin", "--head", "a",
              "--tail", "b"],
+            ["evaluate", "--model", "/nonexistent/m.bin",
+             "--pairs", "/nonexistent/p.tsv"],
         ],
-        ids=["train", "rationalize"],
+        ids=["train", "rationalize", "evaluate"],
     )
     def test_threads_key_rejected(self, tmp_path, capsys, argv):
         config = tmp_path / "config.json"
@@ -402,6 +439,23 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("data error:")
+        assert str(tmp_path / "missing") in err
+
+    def test_missing_dump_directory_reported_before_scoring(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("pairs scored before the output check")
+
+        monkeypatch.setattr(relrec.cli, "predict_probabilities", never)
+        code, out, err = run(
+            ["evaluate", "--model", str(workspace["model"]),
+             "--pairs", str(workspace["splits"] / "test.tsv"),
+             "--dump", str(tmp_path / "missing" / "probs.tsv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("data error: --dump:")
         assert str(tmp_path / "missing") in err
 
     def test_bad_ratio_sum(self, workspace, capsys):
@@ -577,8 +631,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("threads", 0), ("threads", -2), ("threshold", math.nan),
-         ("threshold", math.inf), ("threshold", -0.1), ("threshold", 1.5)],
+        [("threshold", math.nan), ("threshold", math.inf),
+         ("threshold", -0.1), ("threshold", 1.5)],
     )
     def test_evaluate_option_out_of_range(self, tmp_path, capsys, key, value):
         # The model does not exist: a data error (exit 2) would mean the
@@ -626,8 +680,9 @@ class TestExitCodes:
              "--seed", "1"],
             ["train", "--graph", "g.tsv", "--triples", "t.tsv", "--pairs", "p.tsv",
              "--out", "m.bin", "--threads", "2"],
+            ["evaluate", "--model", "m.bin", "--pairs", "p.tsv", "--threads", "2"],
         ],
-        ids=["rationalize-seed", "train-threads"],
+        ids=["rationalize-seed", "train-threads", "evaluate-threads"],
     )
     def test_flag_without_effect_is_rejected(self, capsys, argv):
         code, out, err = run(argv, capsys)

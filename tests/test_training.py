@@ -1,6 +1,7 @@
 """Joint training loop, binary cross entropy, gradient checking, and
 training-log serialization."""
 
+import contextlib
 import csv
 import os
 import subprocess
@@ -508,7 +509,8 @@ class TestBatchedScoring:
         pairs = random_pairs(300, 10, seed=5)
         first = training.predict_probabilities(params, pairs, 16, 16).tobytes()
         assert training.predict_probabilities(params, pairs, 16, 16).tobytes() == first
-        threaded = training.predict_probabilities(params, pairs, 16, 16, threads=2)
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            threaded = training.predict_probabilities(params, pairs, 16, 16, lane=lane)
         assert threaded.tobytes() == first
 
     def test_peak_memory_does_not_grow_with_queries(self, traced_peak):
@@ -571,7 +573,8 @@ class TestBatchedScoring:
         assert all(table is not None for _, table in groups)
         first = training.predict_probabilities(params, pairs, 16, 16).tobytes()
         assert training.predict_probabilities(params, pairs, 16, 16).tobytes() == first
-        threaded = training.predict_probabilities(params, pairs, 16, 16, threads=2)
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            threaded = training.predict_probabilities(params, pairs, 16, 16, lane=lane)
         assert threaded.tobytes() == first
 
     def test_table_over_the_cap_is_split_into_groups(self, monkeypatch):
@@ -626,7 +629,8 @@ class TestBatchedScoring:
         # The table borrows the sign buffer that a training forward fills
         # for its backward: a backward after a table call rebuilds the
         # signs and gives the gradients it gives without that call.  With
-        # 2 threads, the table's rows are scored on other threads.
+        # 2 threads (a lane), every second block of the table's rows is
+        # scored on the lane's thread.
         params = random_model(300, 32, seed=11)
         heads, tails = training._recall_grids(
             params, random_pairs(300, 4, seed=7), 16, 16
@@ -640,7 +644,9 @@ class TestBatchedScoring:
         pairs = pairs_among(300, 8, 150, seed=11)
         groups = table_groups(params, pairs, 16, 16)
         assert all(table is not None for _, table in groups)
-        training.predict_probabilities(params, pairs, 16, 16, threads=threads)
+        lane = ThreadPoolExecutor(max_workers=1) if threads == 2 else None
+        with lane or contextlib.nullcontext():
+            training.predict_probabilities(params, pairs, 16, 16, lane=lane)
         got = training.prediction_backward(params, trace, dlogits)
         assert got.keys() == expected.keys()
         for name, grad in expected.items():
@@ -803,17 +809,28 @@ class TestPredictionLanes:
             (i, here) for i in range(3)
         ]
 
+    def test_usable_cpus_without_affinity(self, monkeypatch, tiny_world):
+        # Only Linux has os.sched_getaffinity.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert training._usable_cpus() >= 1
+        world, ppmi, train, dev = tiny_world
+        result = joint_train(
+            world.graph, ppmi, world.triples, train, dev,
+            tiny_config(max_epochs=1), world.schema,
+        )
+        assert result.epochs_run == 1
+
     def test_lane_only_for_single_query_chunks_and_several_cpus(self, monkeypatch):
         large = self.large_model()
         quickstart = init_params(ModelDims.square(32, 4), 300, seed=0)
         assert training._chunk_queries(quickstart, 16 * 16) > 1
-        for cpus, params, n_pairs, wanted in [
-            (2, large, 32 * 32, True),
-            (1, large, 32 * 32, False),
-            (2, quickstart, 16 * 16, False),
+        for cpus, params, n_assoc, wanted in [
+            (2, large, 32, True),
+            (1, large, 32, False),
+            (2, quickstart, 16, False),
         ]:
             monkeypatch.setattr(training, "_usable_cpus", lambda cpus=cpus: cpus)
-            with training._prediction_lane(params, n_pairs) as lane:
+            with training._prediction_lane(params, n_assoc) as lane:
                 assert isinstance(lane, ThreadPoolExecutor) == wanted
 
     def test_second_lane_peak_memory(self, traced_peak):
